@@ -12,26 +12,12 @@ module H = Harness.Experiments
 
 let gc_report = ref false
 
-let print_gc_line name ~events (g0 : Gc.stat) (g1 : Gc.stat) =
-  let per_m x = if events = 0 then 0. else x /. (float_of_int events /. 1e6) in
-  let minor_m = (g1.Gc.minor_words -. g0.Gc.minor_words) /. 1e6 in
-  let major_m = (g1.Gc.major_words -. g0.Gc.major_words) /. 1e6 in
-  Printf.printf
-    "[%s gc: %.2fM minor words (%.2fM/Mevent), %.2fM major words (%.2fM/Mevent), \
-     %d minor collections (%.0f/Mevent), %d events]\n%!"
-    name minor_m (per_m minor_m) major_m (per_m major_m)
-    (g1.Gc.minor_collections - g0.Gc.minor_collections)
-    (per_m (float_of_int (g1.Gc.minor_collections - g0.Gc.minor_collections)))
-    events
-
 let timed name f =
   let t0 = Unix.gettimeofday () in
-  let g0 = Gc.quick_stat () in
-  let e0 = Engine.Sim.global_events () in
+  let mark = Harness.Report.gc_mark () in
   let result = f () in
   Printf.printf "[%s finished in %.1fs wall clock]\n%!" name (Unix.gettimeofday () -. t0);
-  if !gc_report then
-    print_gc_line name ~events:(Engine.Sim.global_events () - e0) g0 (Gc.quick_stat ());
+  if !gc_report then Harness.Report.print_gc_since ~name mark;
   result
 
 (* ------------------------------------------------------------------ *)
@@ -72,10 +58,10 @@ let micro () =
            | Some m -> Ixmem.Mbuf.decref m
            | None -> ()))
   in
-  let hist = Engine.Histogram.create () in
+  let hist = Ixtelemetry.Log_hist.create () in
   let test_histogram =
     Test.make ~name:"histogram_record"
-      (Staged.stage (fun () -> Engine.Histogram.record hist 123_456))
+      (Staged.stage (fun () -> Ixtelemetry.Log_hist.record hist 123_456))
   in
   let q = Engine.Event_queue.create () in
   let test_event_queue =

@@ -14,25 +14,11 @@ let setup_logs level =
 let log_term =
   Term.(const setup_logs $ Logs_cli.level ())
 
-(* --gc: report GC pressure per simulated event at exit, in the same
-   shape as bench/main.exe. *)
+(* --gc: report GC pressure per simulated event at exit. *)
 let setup_gc enabled =
   if enabled then begin
-    let g0 = Gc.quick_stat () in
-    let e0 = Engine.Sim.global_events () in
-    at_exit (fun () ->
-        let g1 = Gc.quick_stat () in
-        let events = Engine.Sim.global_events () - e0 in
-        let per_m x = if events = 0 then 0. else x /. (float_of_int events /. 1e6) in
-        let minor_m = (g1.Gc.minor_words -. g0.Gc.minor_words) /. 1e6 in
-        let major_m = (g1.Gc.major_words -. g0.Gc.major_words) /. 1e6 in
-        Printf.printf
-          "[gc: %.2fM minor words (%.2fM/Mevent), %.2fM major words \
-           (%.2fM/Mevent), %d minor collections (%.0f/Mevent), %d events]\n%!"
-          minor_m (per_m minor_m) major_m (per_m major_m)
-          (g1.Gc.minor_collections - g0.Gc.minor_collections)
-          (per_m (float_of_int (g1.Gc.minor_collections - g0.Gc.minor_collections)))
-          events)
+    let mark = Harness.Report.gc_mark () in
+    at_exit (fun () -> Harness.Report.print_gc_since mark)
   end
 
 let gc_term =
@@ -42,8 +28,8 @@ let gc_term =
         value & flag
         & info [ "gc" ]
             ~doc:
-              "Print GC counters (minor/major words, minor collections) per \
-               million simulated events at exit."))
+              "Print minor words and minor collections per million simulated \
+               events, and major collections, at exit."))
 
 let kind_conv =
   let parse = function

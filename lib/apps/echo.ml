@@ -1,7 +1,7 @@
 module Net_api = Netapi.Net_api
 
 type client_stats = {
-  latency : Engine.Histogram.t;
+  latency : Ixtelemetry.Log_hist.t;
   mutable messages : int;
   mutable connects : int;
   mutable connect_failures : int;
@@ -10,7 +10,7 @@ type client_stats = {
 
 let new_stats () =
   {
-    latency = Engine.Histogram.create ();
+    latency = Ixtelemetry.Log_hist.create ();
     messages = 0;
     connects = 0;
     connect_failures = 0;
@@ -78,7 +78,7 @@ let client stack ~now ~thread ~server_ip ~port ~msg_size ~msgs_per_conn ~stats
               received := !received - msg_size;
               stats.messages <- stats.messages + 1;
               stats.goodput_bytes <- stats.goodput_bytes + msg_size;
-              Engine.Histogram.record stats.latency (now () - !sent_at);
+              Ixtelemetry.Log_hist.record stats.latency (now () - !sent_at);
               decr remaining;
               if !remaining > 0 then begin
                 sent_at := now ();

@@ -7,7 +7,7 @@
     received (like the paper's NetPIPE setup). *)
 
 type client_stats = {
-  latency : Engine.Histogram.t;  (** per-message round-trip, ns *)
+  latency : Ixtelemetry.Log_hist.t;  (** per-message round-trip, ns *)
   mutable messages : int;
   mutable connects : int;
   mutable connect_failures : int;

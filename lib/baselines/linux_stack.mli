@@ -12,7 +12,9 @@
 
     The same shared TCP engine (lib/tcp) runs underneath, configured
     with Linux parameters (200 ms minimum RTO, 40 ms delayed ACKs,
-    4 MB autotuned-style buffers). *)
+    4 MB autotuned-style buffers), over the host network layer all
+    three stacks share ({!Ix_core.Host_net}); the socket layer is
+    {!Sockets}, shared with mTCP. *)
 
 type costs = {
   irq_entry_ns : int;
@@ -46,6 +48,7 @@ val create :
   Netapi.Net_api.stack
 (** [metrics] is the telemetry registry the stack publishes through
     [Net_api.stack.metrics]: per-core [linux.<i>.{irqs,pkts,wakeups,
-    syscalls}] counters, the shared TCP endpoint counters and the
+    syscalls}] counters, the host network layer's
+    [linux.<i>.{rx_csum_drops,rx_other,arp_drops}], the shared TCP endpoint counters and the
     [kernel_share]/[busy_ns] probe gauges.  A private registry is
     created when omitted. *)

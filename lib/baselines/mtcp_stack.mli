@@ -41,6 +41,7 @@ val create :
 
     [metrics] is the telemetry registry the stack publishes through
     [Net_api.stack.metrics]: per-core [mtcp.<i>.{rounds,pkts,api_calls}]
-    counters, the shared TCP endpoint counters and the
+    counters, the host network layer's
+    [mtcp.<i>.{rx_csum_drops,rx_other,arp_drops}], the shared TCP endpoint counters and the
     [kernel_share]/[busy_ns] probe gauges.  A private registry is
     created when omitted. *)

@@ -10,19 +10,24 @@ let max_parked_per_ip = 8
 
 let create mgr = { table = Rcu.make mgr Ip_map.empty; parked = Hashtbl.create 16; retired = 0 }
 
-let lookup t ip = Ip_map.find_opt ip (Rcu.read t.table)
+let find t ip = Ip_map.find ip (Rcu.read t.table)
 
 let learn t ip mac =
-  match lookup t ip with
-  | Some known when known = mac -> ()
-  | Some _ | None ->
-      Rcu.update t.table (Ip_map.add ip mac) ~retired:(fun _old ->
-          t.retired <- t.retired + 1)
+  let known = try find t ip = mac with Not_found -> false in
+  if not known then
+    Rcu.update t.table (Ip_map.add ip mac) ~retired:(fun _old ->
+        t.retired <- t.retired + 1)
 
 let park t ip mbuf =
   let existing = Option.value ~default:[] (Hashtbl.find_opt t.parked ip) in
-  if List.length existing >= max_parked_per_ip then Ixmem.Mbuf.decref mbuf
-  else Hashtbl.replace t.parked ip (mbuf :: existing)
+  if List.length existing >= max_parked_per_ip then begin
+    Ixmem.Mbuf.decref mbuf;
+    false
+  end
+  else begin
+    Hashtbl.replace t.parked ip (mbuf :: existing);
+    true
+  end
 
 let take_parked t ip =
   match Hashtbl.find_opt t.parked ip with

@@ -1,20 +1,27 @@
-(** The RCU-protected ARP table shared by all elastic threads (§4.4):
-    reads are coherence-free snapshots; the rare updates (a host seen
-    for the first time) go through [Rcu.update].  Packets that miss are
-    parked per destination until the reply lands. *)
+(** The RCU-protected ARP table (§4.4), one per host: IX shares it
+    across its elastic threads, and each baseline host shares one
+    across its threads too.  Reads are coherence-free snapshots; the
+    rare updates (a host seen for the first time) go through
+    [Rcu.update].  Packets that miss are parked per destination until
+    the reply lands. *)
 
 type t
 
 val create : Rcu.manager -> t
+(** A baseline host passes [Rcu.create_manager ~threads:0]: with no
+    threads to wait for, a superseded table version retires at once. *)
 
-val lookup : t -> Ixnet.Ip_addr.t -> Ixnet.Mac_addr.t option
+val find : t -> Ixnet.Ip_addr.t -> Ixnet.Mac_addr.t
+(** The MAC for an IP.  Raises [Not_found] on a miss, so a hit — the
+    per-frame case — allocates nothing. *)
 
 val learn : t -> Ixnet.Ip_addr.t -> Ixnet.Mac_addr.t -> unit
 (** Insert/refresh a mapping (on ARP request or reply reception). *)
 
-val park : t -> Ixnet.Ip_addr.t -> Ixmem.Mbuf.t -> unit
-(** Hold a frame awaiting resolution; bounded to 8 frames per IP
-    (excess is dropped, mirroring real stacks). *)
+val park : t -> Ixnet.Ip_addr.t -> Ixmem.Mbuf.t -> bool
+(** Hold a frame awaiting resolution.  At most 8 frames wait per IP:
+    beyond that the frame is released and [park] returns [false], so
+    the caller can count the drop. *)
 
 val take_parked : t -> Ixnet.Ip_addr.t -> Ixmem.Mbuf.t list
 (** Drain frames parked for a now-resolved address, in arrival order. *)

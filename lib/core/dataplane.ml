@@ -54,6 +54,15 @@ type state = Idle | Scheduled | Running
 
 let no_thunk () = ()
 
+(* Staged-TX vector: reused cycle to cycle so the per-packet path builds
+   no lists.  Its own record so the host network layer's [emit] can
+   stage into it before the dataplane record exists. *)
+type tx_stage = {
+  mutable buf : Mbuf.t array;
+  mutable len : int;
+  c_tx_pkts : Metrics.counter;
+}
+
 type t = {
   sim : Sim.t;
   id : int;
@@ -62,7 +71,7 @@ type t = {
   pool : Mempool.t;
   queues : (Nic.t * Nic.rx_queue) list;
   tx_nic : Nic.t;
-  arp : Arp_cache.t;
+  net : Host_net.t;
   rcu : Rcu.manager;
   costs : costs;
   batcher : Batch.t;
@@ -91,20 +100,11 @@ type t = {
   mutable parked_inbound : (int * Mbuf.t list ref) list; (* group -> reversed *)
   mutable replay : Mbuf.t list; (* in order *)
   mutable watchers : (unit -> bool) list;
-  (* RX batch scratch and staged-TX vector: reused cycle to cycle so the
-     per-packet path builds no lists.  [scratch_seed] is an inert mbuf
-     used only to fill empty array slots. *)
+  (* RX batch scratch, reused cycle to cycle.  [scratch_seed] is an
+     inert mbuf used only to fill empty array slots. *)
   scratch_seed : Mbuf.t;
   mutable rx_scratch : Mbuf.t array;
-  mutable tx_buf : Mbuf.t array;
-  mutable tx_len : int;
-  (* Per-dataplane decoded-header scratch records, refilled by
-     [decode_into] for every frame of the RX batch.  Ownership rule:
-     valid only while the current frame is being processed — nothing
-     may hold one across a yield or into the staged-event phase. *)
-  eth_scratch : Ixnet.Ethernet.t;
-  ip_scratch : Ixnet.Ipv4_packet.t;
-  seg_scratch : Seg.t;
+  tx : tx_stage;
   mutable kernel_ns_acc : int;
   mutable user_ns_acc : int;
   (* Stage-span bookkeeping for [run_cycle]'s tracer marks: the cycle's
@@ -126,12 +126,9 @@ type t = {
   tracer : Tracer.t;
   c_cycles : Metrics.counter;
   c_rx_pkts : Metrics.counter;
-  c_tx_pkts : Metrics.counter;
   c_events : Metrics.counter;
   c_syscalls : Metrics.counter;
   c_nonresponsive : Metrics.counter;
-  c_rx_csum_drops : Metrics.counter;
-  c_rx_other : Metrics.counter;
   c_app_faults : Metrics.counter;
   user_timeout_ns : int;
   mutable ping_handler : src_ip:Ixnet.Ip_addr.t -> Ixnet.Icmp_packet.t -> unit;
@@ -150,62 +147,29 @@ let charge_kernel t ns = t.kernel_ns_acc <- t.kernel_ns_acc + ns
 let charge_user t ns = t.user_ns_acc <- t.user_ns_acc + ns
 
 (* ------------------------------------------------------------------ *)
-(* Outbound path: TCP segment -> IP -> ARP -> Ethernet -> staged TX    *)
+(* Outbound path: L4 payload -> IP -> ARP -> Ethernet -> staged TX     *)
 
-let stage_tx t mbuf =
-  if t.tx_len = Array.length t.tx_buf then begin
-    let capacity' = max 64 (2 * t.tx_len) in
+let stage_tx tx mbuf =
+  if tx.len = Array.length tx.buf then begin
+    let capacity' = max 64 (2 * tx.len) in
     let buf' = Array.make capacity' mbuf in
-    Array.blit t.tx_buf 0 buf' 0 t.tx_len;
-    t.tx_buf <- buf'
+    Array.blit tx.buf 0 buf' 0 tx.len;
+    tx.buf <- buf'
   end;
-  t.tx_buf.(t.tx_len) <- mbuf;
-  t.tx_len <- t.tx_len + 1;
-  Metrics.incr t.c_tx_pkts
+  tx.buf.(tx.len) <- mbuf;
+  tx.len <- tx.len + 1;
+  Metrics.incr tx.c_tx_pkts
 
-let ethernet_to t ~dst_mac mbuf =
-  Ixnet.Ethernet.prepend_fields mbuf ~dst:dst_mac ~src:(Nic.mac t.tx_nic)
-    ~ethertype:Ixnet.Ethernet.Ipv4
-
-let send_arp t ~op ~target_ip ~target_mac =
-  match Mempool.alloc t.pool with
-  | None -> ()
-  | Some mbuf ->
-      Ixnet.Arp_packet.write mbuf
-        {
-          Ixnet.Arp_packet.op;
-          sender_mac = Nic.mac t.tx_nic;
-          sender_ip = t.local_ip;
-          target_mac;
-          target_ip;
-        };
-      Ixnet.Ethernet.prepend mbuf
-        {
-          Ixnet.Ethernet.dst =
-            (if op = Ixnet.Arp_packet.Request then Ixnet.Mac_addr.broadcast else target_mac);
-          src = Nic.mac t.tx_nic;
-          ethertype = Ixnet.Ethernet.Arp;
-        };
-      stage_tx t mbuf
-
-(* [mbuf] holds an IP datagram for [remote_ip]; resolve and frame it. *)
-let resolve_and_frame t ~remote_ip mbuf =
-  match Arp_cache.lookup t.arp remote_ip with
-  | Some mac ->
-      ethernet_to t ~dst_mac:mac mbuf;
-      stage_tx t mbuf
-  | None ->
-      Arp_cache.park t.arp remote_ip mbuf;
-      send_arp t ~op:Ixnet.Arp_packet.Request ~target_ip:remote_ip
-        ~target_mac:Ixnet.Mac_addr.zero
+(* [mbuf] holds an L4 payload for [remote_ip]; frame it and stage it,
+   or leave it parked on ARP resolution. *)
+let send_ip t ~protocol ~remote_ip mbuf =
+  if Host_net.output t.net ~protocol ~remote_ip mbuf then stage_tx t.tx mbuf
 
 let output_raw t ~remote_ip mbuf =
   charge_kernel t t.costs.proto_tx_ns;
   if not t.zero_copy then
     charge_kernel t (t.costs.copy_ns_per_kb * mbuf.Mbuf.len / 1024);
-  Ixnet.Ipv4_packet.prepend_fields mbuf ~src:t.local_ip ~dst:remote_ip
-    ~protocol:Ixnet.Ipv4_packet.Tcp ~ttl:64 ~ecn:0 ~payload_len:mbuf.Mbuf.len;
-  resolve_and_frame t ~remote_ip mbuf
+  send_ip t ~protocol:Ixnet.Ipv4_packet.Tcp ~remote_ip mbuf
 
 (* ------------------------------------------------------------------ *)
 (* Event staging                                                       *)
@@ -344,31 +308,11 @@ let exec_syscall t (sc, on_result) =
           Ixnet.Udp_packet.prepend mbuf ~src:t.local_ip ~dst:dst_ip ~src_port
             ~dst_port;
           charge_kernel t t.costs.proto_tx_ns;
-          Ixnet.Ipv4_packet.prepend_fields mbuf ~src:t.local_ip ~dst:dst_ip
-            ~protocol:Ixnet.Ipv4_packet.Udp ~ttl:64 ~ecn:0
-            ~payload_len:mbuf.Mbuf.len;
-          resolve_and_frame t ~remote_ip:dst_ip mbuf;
+          send_ip t ~protocol:Ixnet.Ipv4_packet.Udp ~remote_ip:dst_ip mbuf;
           on_result total)
 
 (* ------------------------------------------------------------------ *)
 (* Inbound packet processing (step 2)                                  *)
-
-let process_arp t mbuf =
-  match Ixnet.Arp_packet.decode mbuf with
-  | Error _ -> ()
-  | Ok arp ->
-      Arp_cache.learn t.arp arp.Ixnet.Arp_packet.sender_ip arp.Ixnet.Arp_packet.sender_mac;
-      (* Drain anything parked on this resolution. *)
-      List.iter
-        (fun parked ->
-          ethernet_to t ~dst_mac:arp.Ixnet.Arp_packet.sender_mac parked;
-          stage_tx t parked)
-        (Arp_cache.take_parked t.arp arp.Ixnet.Arp_packet.sender_ip);
-      if arp.Ixnet.Arp_packet.op = Ixnet.Arp_packet.Request
-         && arp.Ixnet.Arp_packet.target_ip = t.local_ip
-      then
-        send_arp t ~op:Ixnet.Arp_packet.Reply ~target_ip:arp.Ixnet.Arp_packet.sender_ip
-          ~target_mac:arp.Ixnet.Arp_packet.sender_mac
 
 (* ICMP echo: answered in the dataplane kernel (the paper implemented
    RFC-compliant ICMP alongside UDP and ARP). *)
@@ -380,24 +324,13 @@ let process_icmp t ~src_ip mbuf =
     | None -> ()
     | Some reply ->
         Ixnet.Icmp_packet.reply_into mbuf ~into:reply;
-        Ixnet.Ipv4_packet.prepend_fields reply ~src:t.local_ip ~dst:src_ip
-          ~protocol:Ixnet.Ipv4_packet.Icmp ~ttl:64 ~ecn:0
-          ~payload_len:reply.Mbuf.len;
-        resolve_and_frame t ~remote_ip:src_ip reply
+        send_ip t ~protocol:Ixnet.Ipv4_packet.Icmp ~remote_ip:src_ip reply
   end
   else
     match Ixnet.Icmp_packet.decode mbuf with
     | Error _ -> ()
     | Ok reply -> t.ping_handler ~src_ip reply
 
-(* Every IPv4 frame lands in exactly one accounting bucket: delivered
-   to TCP (counted by the endpoint's [tcp.<i>.rx_segs]), dropped by
-   validation ([rx_csum_drops] — the IPv4 header and TCP checksums are
-   verified by [decode_into]; a frame corrupted on the wire dies here,
-   counted, instead of being accepted), or handled/dropped in the
-   kernel without a TCP delivery ([rx_other]: ARP, ICMP, UDP, firewall
-   rejects, wrong destination).  The chaos audit's frame-conservation
-   check ([Harness.Chaos]) relies on these buckets tiling [rx_pkts]. *)
 (* A TCP frame belonging to a group that is mid-migration to this
    thread: hold it aside (in arrival order) until the TCBs arrive.  The
    frame keeps its reference across the park ([process_frame] decrefs on
@@ -419,64 +352,53 @@ let park_if_migrating t (ip : Ixnet.Ipv4_packet.t) (seg : Seg.t) mbuf =
           frames := mbuf :: !frames;
           true)
 
+(* Protocol dispatch for a datagram [Host_net.rx] accepted; every
+   outcome lands in one of the layer's accounting buckets (see
+   [Host_net.rx]) or in the endpoint's [rx_segs]. *)
 let process_ipv4 t mbuf =
-  (* Scratch-record decode: [ip]/[seg] are the dataplane's reusable
-     records, valid only for this frame (rx_segment and everything
-     below it reads, never retains, them). *)
-  let ip = t.ip_scratch in
-  if not (Ixnet.Ipv4_packet.decode_into mbuf ip) then
-    Metrics.incr t.c_rx_csum_drops
-  else if ip.Ixnet.Ipv4_packet.dst <> t.local_ip then Metrics.incr t.c_rx_other
-  else begin
-    match ip.Ixnet.Ipv4_packet.protocol with
-    | Ixnet.Ipv4_packet.Tcp ->
-        let seg = t.seg_scratch in
-        if
-          not
-            (Seg.decode_into mbuf ~src:ip.Ixnet.Ipv4_packet.src
-               ~dst:ip.Ixnet.Ipv4_packet.dst seg)
-        then Metrics.incr t.c_rx_csum_drops
-        else if t.parked_inbound <> [] && park_if_migrating t ip seg mbuf then ()
+  let ip = Host_net.ip t.net in
+  match ip.Ixnet.Ipv4_packet.protocol with
+  | Ixnet.Ipv4_packet.Tcp ->
+      if Host_net.decode_tcp t.net mbuf then begin
+        let seg = Host_net.seg t.net in
+        if t.parked_inbound <> [] && park_if_migrating t ip seg mbuf then ()
         else if
           Policy.admit t.pol ~now:(now t) ~src_ip:ip.Ixnet.Ipv4_packet.src
             ~dst_port:seg.Seg.dst_port ~len:mbuf.Mbuf.len
-        then
-          Tcp_endpoint.rx_segment
-            ~ce:(ip.Ixnet.Ipv4_packet.ecn = Ixnet.Ipv4_packet.ce)
-            (endpoint t) ~src_ip:ip.Ixnet.Ipv4_packet.src seg mbuf
-        else Metrics.incr t.c_rx_other
-    | Ixnet.Ipv4_packet.Icmp ->
-        Metrics.incr t.c_rx_other;
-        process_icmp t ~src_ip:ip.Ixnet.Ipv4_packet.src mbuf
-    | Ixnet.Ipv4_packet.Udp ->
-        Metrics.incr t.c_rx_other;
-        (match
-           Ixnet.Udp_packet.decode mbuf ~src:ip.Ixnet.Ipv4_packet.src
-             ~dst:ip.Ixnet.Ipv4_packet.dst
-         with
-        | Error _ -> ()
-        | Ok udp ->
-            if
-              Hashtbl.mem t.udp_binds udp.Ixnet.Udp_packet.dst_port
-              && Policy.admit t.pol ~now:(now t)
-                   ~src_ip:ip.Ixnet.Ipv4_packet.src
-                   ~dst_port:udp.Ixnet.Udp_packet.dst_port ~len:mbuf.Mbuf.len
-            then begin
-              Mbuf.incref mbuf;
-              t.staged_events <-
-                Ix_api.Ev_udp_recv
-                  {
-                    dst_port = udp.Ixnet.Udp_packet.dst_port;
-                    src_ip = ip.Ixnet.Ipv4_packet.src;
-                    src_port = udp.Ixnet.Udp_packet.src_port;
-                    mbuf;
-                    off = udp.Ixnet.Udp_packet.payload_off;
-                    len = udp.Ixnet.Udp_packet.payload_len;
-                  }
-                :: t.staged_events
-            end)
-    | Ixnet.Ipv4_packet.Other _ -> Metrics.incr t.c_rx_other
-  end
+        then Host_net.deliver_tcp t.net (endpoint t) mbuf
+        else Host_net.count_other t.net
+      end
+  | Ixnet.Ipv4_packet.Icmp ->
+      Host_net.count_other t.net;
+      process_icmp t ~src_ip:ip.Ixnet.Ipv4_packet.src mbuf
+  | Ixnet.Ipv4_packet.Udp ->
+      Host_net.count_other t.net;
+      (match
+         Ixnet.Udp_packet.decode mbuf ~src:ip.Ixnet.Ipv4_packet.src
+           ~dst:ip.Ixnet.Ipv4_packet.dst
+       with
+      | Error _ -> ()
+      | Ok udp ->
+          if
+            Hashtbl.mem t.udp_binds udp.Ixnet.Udp_packet.dst_port
+            && Policy.admit t.pol ~now:(now t)
+                 ~src_ip:ip.Ixnet.Ipv4_packet.src
+                 ~dst_port:udp.Ixnet.Udp_packet.dst_port ~len:mbuf.Mbuf.len
+          then begin
+            Mbuf.incref mbuf;
+            t.staged_events <-
+              Ix_api.Ev_udp_recv
+                {
+                  dst_port = udp.Ixnet.Udp_packet.dst_port;
+                  src_ip = ip.Ixnet.Ipv4_packet.src;
+                  src_port = udp.Ixnet.Udp_packet.src_port;
+                  mbuf;
+                  off = udp.Ixnet.Udp_packet.payload_off;
+                  len = udp.Ixnet.Udp_packet.payload_len;
+                }
+              :: t.staged_events
+          end)
+  | Ixnet.Ipv4_packet.Other _ -> Host_net.count_other t.net
 
 let process_frame t mbuf =
   charge_kernel t t.costs.proto_rx_ns;
@@ -486,16 +408,7 @@ let process_frame t mbuf =
       charge_kernel t
         (Ixhw.Cache_model.extra_ns_per_message cm ~conns:!(t.conn_count) / 2)
   | None -> ());
-  if not (Ixnet.Ethernet.decode_into mbuf t.eth_scratch) then
-    (* Runt frame (e.g. truncated below the Ethernet header). *)
-    Metrics.incr t.c_rx_csum_drops
-  else
-    (match t.eth_scratch.Ixnet.Ethernet.ethertype with
-    | Ixnet.Ethernet.Arp ->
-        Metrics.incr t.c_rx_other;
-        process_arp t mbuf
-    | Ixnet.Ethernet.Ipv4 -> process_ipv4 t mbuf
-    | Ixnet.Ethernet.Other _ -> Metrics.incr t.c_rx_other);
+  if Host_net.rx t.net mbuf then process_ipv4 t mbuf;
   Mbuf.decref mbuf
 
 (* ------------------------------------------------------------------ *)
@@ -624,7 +537,7 @@ let rec run_cycle t =
   Wheel.advance t.wheel ~now:(now t);
   mark t Tracer.Timer;
   (* --- (6) transmit --- *)
-  let n_tx = t.tx_len in
+  let n_tx = t.tx.len in
   Batch.note_tx t.batcher n_tx;
   charge_kernel t (t.costs.tx_pkt_ns * n_tx);
   (* One doorbell write per TX burst, regardless of how many segments
@@ -637,18 +550,19 @@ let rec run_cycle t =
   (* Commit costs to the core; effects land at cycle end. *)
   let t_mid = Cpu_core.charge t.cpu ~now:start Cpu_core.Kernel t.kernel_ns_acc in
   let t_end = Cpu_core.charge t.cpu ~now:t_mid Cpu_core.User t.user_ns_acc in
+  let tx = t.tx in
   for i = 0 to n_tx - 1 do
-    let mbuf = t.tx_buf.(i) in
-    t.tx_buf.(i) <- t.scratch_seed;
+    let mbuf = tx.buf.(i) in
+    tx.buf.(i) <- t.scratch_seed;
     Nic.transmit_at t.tx_nic mbuf ~earliest:t_end
   done;
   (* Frames staged while transmitting (none today) slide to the front
      for the next cycle. *)
-  if t.tx_len > n_tx then begin
-    Array.blit t.tx_buf n_tx t.tx_buf 0 (t.tx_len - n_tx);
-    Array.fill t.tx_buf (t.tx_len - n_tx) n_tx t.scratch_seed
+  if tx.len > n_tx then begin
+    Array.blit tx.buf n_tx tx.buf 0 (tx.len - n_tx);
+    Array.fill tx.buf (tx.len - n_tx) n_tx t.scratch_seed
   end;
-  t.tx_len <- t.tx_len - n_tx;
+  tx.len <- tx.len - n_tx;
   (* RCU quiescent point. *)
   Rcu.quiescent t.rcu ~thread:t.id;
   (* Migration drain watchers: the source side of a flow-group
@@ -874,16 +788,7 @@ let ping t ~dst ~ident ~seq =
   | Some mbuf ->
       Ixnet.Icmp_packet.write mbuf
         { Ixnet.Icmp_packet.kind = Ixnet.Icmp_packet.Echo_request; ident; seq; data = "ix-ping" };
-      Ixnet.Ipv4_packet.prepend mbuf
-        {
-          Ixnet.Ipv4_packet.src = t.local_ip;
-          dst;
-          protocol = Ixnet.Ipv4_packet.Icmp;
-          ttl = 64;
-          ecn = 0;
-          payload_len = mbuf.Mbuf.len;
-        };
-      resolve_and_frame t ~remote_ip:dst mbuf;
+      send_ip t ~protocol:Ixnet.Ipv4_packet.Icmp ~remote_ip:dst mbuf;
       kick t
 
 let in_app_context t = t.in_user_phase
@@ -906,7 +811,13 @@ let create ~sim ~thread_id ~core ~local_ip ~queues ~tx_nic ~arp ~rcu
   let pool = Mempool.create ~capacity:65536 ~name:(Printf.sprintf "dp%d" thread_id) () in
   let wheel = Wheel.create ~now:(Sim.now sim) () in
   let metrics = match metrics with Some m -> m | None -> Metrics.create () in
-  let c name = Metrics.counter metrics (Printf.sprintf "dataplane.%d.%s" thread_id name) in
+  let prefix = Printf.sprintf "dataplane.%d" thread_id in
+  let c name = Metrics.counter metrics (prefix ^ "." ^ name) in
+  let tx = { buf = [||]; len = 0; c_tx_pkts = c "tx_pkts" } in
+  let net =
+    Host_net.create ~arp ~pool ~mac:(Nic.mac tx_nic) ~local_ip ~emit:(stage_tx tx)
+      ~metrics ~prefix
+  in
   let t =
     {
       sim;
@@ -916,7 +827,7 @@ let create ~sim ~thread_id ~core ~local_ip ~queues ~tx_nic ~arp ~rcu
       pool;
       queues;
       tx_nic;
-      arp;
+      net;
       rcu;
       costs;
       batcher = Batch.create ~bound:batch_bound ~mode:batch_mode ();
@@ -939,11 +850,7 @@ let create ~sim ~thread_id ~core ~local_ip ~queues ~tx_nic ~arp ~rcu
       watchers = [];
       scratch_seed = Mbuf.create ~size:1 ();
       rx_scratch = [||];
-      tx_buf = [||];
-      tx_len = 0;
-      eth_scratch = Ixnet.Ethernet.scratch ();
-      ip_scratch = Ixnet.Ipv4_packet.scratch ();
-      seg_scratch = Seg.scratch ();
+      tx;
       kernel_ns_acc = 0;
       user_ns_acc = 0;
       cycle_start = 0;
@@ -959,12 +866,9 @@ let create ~sim ~thread_id ~core ~local_ip ~queues ~tx_nic ~arp ~rcu
       tracer = Tracer.create ~capacity:tracer_capacity ~thread:thread_id ();
       c_cycles = c "cycles";
       c_rx_pkts = c "rx_pkts";
-      c_tx_pkts = c "tx_pkts";
       c_events = c "events";
       c_syscalls = c "syscalls";
       c_nonresponsive = c "nonresponsive";
-      c_rx_csum_drops = c "rx_csum_drops";
-      c_rx_other = c "rx_other";
       c_app_faults = c "app_faults";
       user_timeout_ns = 10_000_000;
       ping_handler = (fun ~src_ip:_ _ -> ());

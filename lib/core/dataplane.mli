@@ -59,7 +59,9 @@ val create :
   unit ->
   t
 (** [queues] lists (nic, rx queue) pairs this thread serves;
-    [tx_nic] is where it transmits.  [polling:false] is the ablation
+    [tx_nic] is where it transmits.  [arp] is the host's ARP table: the
+    thread's {!Host_net} (framing, ARP, receive decode and its
+    [rx_csum_drops]/[rx_other]/[arp_drops] counters) runs over it.  [polling:false] is the ablation
     that makes the thread interrupt-driven (a fixed wakeup latency is
     added before each cycle triggered by a NIC notification).
     [cache]/[conn_count] enable the connection-count L3 model used by

@@ -295,7 +295,7 @@ let run_echo ?(output = default_output) ?(label = "") ?(client_hosts = 6)
     msgs_per_sec = msgs;
     conns_per_sec = conns;
     goodput_gbps;
-    p99_us = float_of_int (Engine.Histogram.percentile stats.Apps.Echo.latency 99.) /. 1e3;
+    p99_us = float_of_int (Ixtelemetry.Log_hist.percentile stats.Apps.Echo.latency 99.) /. 1e3;
     cpu_utilization;
     polling;
   }
@@ -1065,16 +1065,16 @@ let elastic_scaling ?(output = default_output) ?(seed = 42) () =
   Ix_core.Control_plane.set_elastic_threads cp 1;
   Apps.Echo.server cluster.Cluster.server ~port:7000 ~msg_size:64 ~app_ns:150;
   let stats = Apps.Echo.new_stats () in
-  let all_latency = Engine.Histogram.create () in
+  let all_latency = Ixtelemetry.Log_hist.create () in
   (* The probe drains the client latency histogram every controller
      interval, turning it into a per-interval window; the drained
      samples accumulate into [all_latency] for the end-of-run numbers. *)
   let p99_probe () =
-    if Engine.Histogram.is_empty stats.Apps.Echo.latency then None
+    if Ixtelemetry.Log_hist.is_empty stats.Apps.Echo.latency then None
     else begin
-      let p = Engine.Histogram.percentile stats.Apps.Echo.latency 99. in
-      Engine.Histogram.merge_into ~src:stats.Apps.Echo.latency ~dst:all_latency;
-      Engine.Histogram.clear stats.Apps.Echo.latency;
+      let p = Ixtelemetry.Log_hist.percentile stats.Apps.Echo.latency 99. in
+      Ixtelemetry.Log_hist.merge_into ~src:stats.Apps.Echo.latency ~dst:all_latency;
+      Ixtelemetry.Log_hist.clear stats.Apps.Echo.latency;
       Some (float_of_int p)
     end
   in

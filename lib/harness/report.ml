@@ -21,3 +21,30 @@ let table ?(out = Format.std_formatter) ~title ~headers rows =
   Format.fprintf out "@.== %s ==@.%s@.%s@." title (line headers) rule;
   List.iter (fun row -> Format.fprintf out "%s@." (line row)) rows;
   Format.pp_print_flush out ()
+
+(* [Gc.minor_words ()], not [Gc.quick_stat]: in native code the stat
+   record's word counts only move at collections, so under a large
+   nursery a window can read 0.  The collection counts are current. *)
+type gc_mark = { words : float; minor_gcs : int; major_gcs : int; events : int }
+
+let gc_mark () =
+  let s = Gc.quick_stat () in
+  {
+    words = Gc.minor_words ();
+    minor_gcs = s.Gc.minor_collections;
+    major_gcs = s.Gc.major_collections;
+    events = Engine.Sim.global_events ();
+  }
+
+let print_gc_since ?name m0 =
+  let m1 = gc_mark () in
+  let events = m1.events - m0.events in
+  let per_m x = if events = 0 then 0. else x /. (float_of_int events /. 1e6) in
+  let words_m = (m1.words -. m0.words) /. 1e6 in
+  let minor = m1.minor_gcs - m0.minor_gcs in
+  Printf.printf
+    "[%sgc: %.2fM minor words (%.2fM/Mevent), %d minor collections (%.0f/Mevent), %d major \
+     collections, %d events]\n%!"
+    (match name with Some n -> n ^ " " | None -> "")
+    words_m (per_m words_m) minor (per_m (float_of_int minor))
+    (m1.major_gcs - m0.major_gcs) events

@@ -19,3 +19,16 @@ val kps : float -> string
 val gbps : float -> string
 val us : float -> string
 val pct : float -> string
+
+(** {1 GC reporting ([--gc] on ixsim and bench)} *)
+
+type gc_mark
+(** Allocation and collection counters, and simulated events, at an
+    instant. *)
+
+val gc_mark : unit -> gc_mark
+
+val print_gc_since : ?name:string -> gc_mark -> unit
+(** Print one line: minor words allocated by this domain and minor
+    collections since the mark, each also per million simulated events,
+    plus major collections and the event count. *)

@@ -25,7 +25,7 @@ let run ~sim ~clients ~server_ip ~port ~profile ~connections ~target_rps
     ?(pipeline = 4) ?(warmup_ms = 10) ?(duration_ms = 50) ~seed () =
   let rng = Engine.Rng.create ~seed in
   let zipf = Zipf.create ~n:profile.Size_dist.key_space ~theta:profile.Size_dist.zipf_theta in
-  let latency = Engine.Histogram.create () in
+  let latency = Ixtelemetry.Log_hist.create () in
   let issued = ref 0 and completed = ref 0 and completed_window = ref 0 in
   let t0 = Engine.Sim.now sim in
   (* Connections ramp up over [ramp]; arrivals start once they settle;
@@ -75,7 +75,7 @@ let run ~sim ~clients ~server_ip ~port ~profile ~connections ~target_rps
         let t = now () in
         if t >= window_start && t <= window_end then begin
           incr completed_window;
-          Engine.Histogram.record latency (t - intended)
+          Ixtelemetry.Log_hist.record latency (t - intended)
         end);
     (* Pull queued work under the pipeline limit. *)
     if st.outstanding < pipeline && not (Queue.is_empty st.backlog) then
@@ -152,9 +152,9 @@ let run ~sim ~clients ~server_ip ~port ~profile ~connections ~target_rps
   {
     target_rps;
     achieved_rps = float_of_int !completed_window /. duration_s;
-    avg_us = Engine.Histogram.mean latency /. 1_000.;
-    p95_us = float_of_int (Engine.Histogram.percentile latency 95.) /. 1_000.;
-    p99_us = float_of_int (Engine.Histogram.percentile latency 99.) /. 1_000.;
+    avg_us = Ixtelemetry.Log_hist.mean latency /. 1_000.;
+    p95_us = float_of_int (Ixtelemetry.Log_hist.percentile latency 95.) /. 1_000.;
+    p99_us = float_of_int (Ixtelemetry.Log_hist.percentile latency 99.) /. 1_000.;
     issued = !issued;
     completed = !completed;
   }

@@ -111,13 +111,23 @@ let binding_header lines i =
 
 (* Second pass: the RX hot path must stay on the scratch-record decode
    API.  [Tcp_segment.decode] / [Ipv4_packet.decode] allocate a fresh
-   header record per segment; inside the per-frame loop of the
-   dataplane or the TCP demux that is exactly the allocation the fast
-   path exists to avoid — use [decode_into] with the per-core scratch
-   instead (see DESIGN.md, "receive fast path"). *)
+   header record per segment; inside the per-frame loop of a stack (IX,
+   Linux, mTCP), the shared host network layer or the TCP demux that is
+   exactly the allocation the fast path exists to avoid — use
+   [decode_into] with the per-core scratch instead (see DESIGN.md,
+   "receive fast path"). *)
 
 let hot_path_files =
-  [ "core/dataplane.ml"; "tcp/tcp_endpoint.ml"; "tcp/tcb.ml"; "tcp/tw_table.ml" ]
+  [
+    "core/dataplane.ml";
+    "core/host_net.ml";
+    "baselines/sockets.ml";
+    "baselines/linux_stack.ml";
+    "baselines/mtcp_stack.ml";
+    "tcp/tcp_endpoint.ml";
+    "tcp/tcb.ml";
+    "tcp/tw_table.ml";
+  ]
 
 (* Third pass: the per-core dataplane paths hold no cross-thread
    synchronization primitives.  Per-thread state is exclusively owned
@@ -130,6 +140,8 @@ let hot_path_files =
 let per_core_files =
   [
     "core/dataplane.ml";
+    "core/host_net.ml";
+    "baselines/sockets.ml";
     "core/libix.ml";
     "core/ix_host.ml";
     "core/control_plane.ml";

@@ -84,7 +84,7 @@ let test_deterministic_runs () =
       ~stop_after:(Engine.Sim_time.ms 5);
     Engine.Sim.run ~until:(Engine.Sim_time.ms 10) cluster.Cluster.sim;
     ( stats.Apps.Echo.messages,
-      Engine.Histogram.percentile stats.Apps.Echo.latency 99.,
+      Ixtelemetry.Log_hist.percentile stats.Apps.Echo.latency 99.,
       Engine.Sim.events_executed cluster.Cluster.sim )
   in
   let a = run () and b = run () in

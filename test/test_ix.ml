@@ -134,11 +134,10 @@ let test_arp_cache () =
   let mgr = Rcu.create_manager ~threads:1 in
   let cache = Arp_cache.create mgr in
   let ip = Ixnet.Ip_addr.of_host_id 9 in
-  Alcotest.(check (option int)) "miss" None (Arp_cache.lookup cache ip);
+  check_bool "miss" true
+    (match Arp_cache.find cache ip with _ -> false | exception Not_found -> true);
   Arp_cache.learn cache ip (Ixnet.Mac_addr.of_host_id 9);
-  Alcotest.(check (option int))
-    "hit" (Some (Ixnet.Mac_addr.of_host_id 9))
-    (Arp_cache.lookup cache ip);
+  check_int "hit" (Ixnet.Mac_addr.of_host_id 9) (Arp_cache.find cache ip);
   check_int "one entry" 1 (Arp_cache.entries cache);
   (* Re-learning the same mapping must not spin RCU. *)
   Arp_cache.learn cache ip (Ixnet.Mac_addr.of_host_id 9);
@@ -150,12 +149,191 @@ let test_arp_parking () =
   let cache = Arp_cache.create mgr in
   let ip = Ixnet.Ip_addr.of_host_id 5 in
   let m1 = Ixmem.Mbuf.create () and m2 = Ixmem.Mbuf.create () in
-  Arp_cache.park cache ip m1;
-  Arp_cache.park cache ip m2;
+  check_bool "parked" true (Arp_cache.park cache ip m1 && Arp_cache.park cache ip m2);
   (match Arp_cache.take_parked cache ip with
   | [ a; b ] -> check_bool "fifo order" true (a == m1 && b == m2)
   | _ -> Alcotest.fail "expected two parked frames");
   Alcotest.(check (list unit)) "drained" [] (List.map ignore (Arp_cache.take_parked cache ip))
+
+(* ---------------- Host network layer ---------------- *)
+
+(* One thread of a baseline-configured host: an ARP table behind an RCU
+   manager with no threads (as the Linux and mTCP hosts build it), a
+   private mempool, and an [emit] that records what the layer sends. *)
+type host_net_fixture = {
+  net : Host_net.t;
+  arp : Arp_cache.t;
+  pool : Ixmem.Mempool.t;
+  metrics : Ixtelemetry.Metrics.t;
+  emitted : Ixmem.Mbuf.t list ref; (* newest first *)
+}
+
+let hn_ip = Ixnet.Ip_addr.of_host_id 1
+let hn_mac = Ixnet.Mac_addr.of_host_id 1
+let hn_peer_ip = Ixnet.Ip_addr.of_host_id 2
+let hn_peer_mac = Ixnet.Mac_addr.of_host_id 2
+
+let host_net_fixture () =
+  let arp = Arp_cache.create (Rcu.create_manager ~threads:0) in
+  let pool = Ixmem.Mempool.create ~capacity:64 ~name:"hn" () in
+  let metrics = Ixtelemetry.Metrics.create () in
+  let emitted = ref [] in
+  let net =
+    Host_net.create ~arp ~pool ~mac:hn_mac ~local_ip:hn_ip
+      ~emit:(fun m -> emitted := m :: !emitted)
+      ~metrics ~prefix:"host"
+  in
+  { net; arp; pool; metrics; emitted }
+
+let hn_counter f name = Ixtelemetry.Metrics.counter_value f.metrics ("host." ^ name)
+
+(* A one-byte-tagged UDP-sized payload from the fixture's pool. *)
+let hn_payload f tag =
+  match Ixmem.Mempool.alloc f.pool with
+  | None -> Alcotest.fail "pool empty"
+  | Some m ->
+      Ixmem.Mbuf.append m (String.make 1 tag);
+      m
+
+(* Decode an emitted frame's Ethernet header and ARP body. *)
+let hn_arp_of frame =
+  let eth = Ixnet.Ethernet.scratch () in
+  check_bool "ethernet decodes" true (Ixnet.Ethernet.decode_into frame eth);
+  check_bool "is ARP" true (eth.Ixnet.Ethernet.ethertype = Ixnet.Ethernet.Arp);
+  match Ixnet.Arp_packet.decode frame with
+  | Ok a -> (eth.Ixnet.Ethernet.dst, a)
+  | Error e -> Alcotest.fail e
+
+(* The tag byte of an emitted IPv4 datagram, and its Ethernet dst. *)
+let hn_datagram_tag frame =
+  let eth = Ixnet.Ethernet.scratch () and ip = Ixnet.Ipv4_packet.scratch () in
+  check_bool "ethernet decodes" true (Ixnet.Ethernet.decode_into frame eth);
+  check_bool "ipv4 decodes" true (Ixnet.Ipv4_packet.decode_into frame ip);
+  (eth.Ixnet.Ethernet.dst, (Ixmem.Mbuf.payload frame).[0])
+
+(* An ARP frame from the peer, as it arrives off the wire. *)
+let hn_arp_frame ~op ~target_ip =
+  let m = Ixmem.Mbuf.create () in
+  Ixnet.Arp_packet.write m
+    {
+      Ixnet.Arp_packet.op;
+      sender_mac = hn_peer_mac;
+      sender_ip = hn_peer_ip;
+      target_mac = (if op = Ixnet.Arp_packet.Reply then hn_mac else Ixnet.Mac_addr.zero);
+      target_ip;
+    };
+  Ixnet.Ethernet.prepend_fields m ~dst:hn_mac ~src:hn_peer_mac ~ethertype:Ixnet.Ethernet.Arp;
+  m
+
+let udp = Ixnet.Ipv4_packet.Udp
+
+let test_host_net_miss_emits_one_request () =
+  let f = host_net_fixture () in
+  check_bool "miss is not framed" false
+    (Host_net.output f.net ~protocol:udp ~remote_ip:hn_peer_ip (hn_payload f 'a'));
+  match !(f.emitted) with
+  | [ req ] ->
+      let dst, a = hn_arp_of req in
+      check_int "broadcast" Ixnet.Mac_addr.broadcast dst;
+      check_bool "request" true (a.Ixnet.Arp_packet.op = Ixnet.Arp_packet.Request);
+      check_int "asks for the peer" hn_peer_ip a.Ixnet.Arp_packet.target_ip;
+      check_int "datagram parked" 1 (Arp_cache.parked_count f.arp)
+  | l -> Alcotest.failf "expected exactly one ARP request, got %d frames" (List.length l)
+
+let test_host_net_reply_releases_in_order () =
+  let f = host_net_fixture () in
+  List.iter
+    (fun tag ->
+      ignore (Host_net.output f.net ~protocol:udp ~remote_ip:hn_peer_ip (hn_payload f tag)))
+    [ 'a'; 'b'; 'c' ];
+  f.emitted := [];
+  check_bool "ARP is not an IPv4 delivery" false
+    (Host_net.rx f.net (hn_arp_frame ~op:Ixnet.Arp_packet.Reply ~target_ip:hn_ip));
+  let released = List.rev_map hn_datagram_tag !(f.emitted) in
+  Alcotest.(check (list (pair int char)))
+    "parked datagrams leave in arrival order, to the learned MAC"
+    [ (hn_peer_mac, 'a'); (hn_peer_mac, 'b'); (hn_peer_mac, 'c') ]
+    released;
+  check_int "nothing left parked" 0 (Arp_cache.parked_count f.arp);
+  check_int "ARP counted as rx_other" 1 (hn_counter f "rx_other");
+  check_bool "later datagrams are framed at once" true
+    (Host_net.output f.net ~protocol:udp ~remote_ip:hn_peer_ip (hn_payload f 'd'))
+
+let test_host_net_answers_requests () =
+  let f = host_net_fixture () in
+  ignore (Host_net.rx f.net (hn_arp_frame ~op:Ixnet.Arp_packet.Request ~target_ip:hn_ip));
+  (match !(f.emitted) with
+  | [ reply ] ->
+      let dst, a = hn_arp_of reply in
+      check_int "unicast to the asker" hn_peer_mac dst;
+      check_bool "reply" true (a.Ixnet.Arp_packet.op = Ixnet.Arp_packet.Reply);
+      check_int "answers with our MAC" hn_mac a.Ixnet.Arp_packet.sender_mac;
+      check_int "for our IP" hn_ip a.Ixnet.Arp_packet.sender_ip
+  | l -> Alcotest.failf "expected one ARP reply, got %d frames" (List.length l));
+  check_int "asker learned" hn_peer_mac (Arp_cache.find f.arp hn_peer_ip);
+  (* A request for another host is learned from but not answered. *)
+  f.emitted := [];
+  ignore
+    (Host_net.rx f.net
+       (hn_arp_frame ~op:Ixnet.Arp_packet.Request ~target_ip:(Ixnet.Ip_addr.of_host_id 7)));
+  check_int "no reply for another IP" 0 (List.length !(f.emitted))
+
+let test_host_net_park_cap () =
+  let f = host_net_fixture () in
+  for i = 1 to 9 do
+    ignore
+      (Host_net.output f.net ~protocol:udp ~remote_ip:hn_peer_ip
+         (hn_payload f (Char.chr (Char.code 'a' + i))))
+  done;
+  check_int "eight parked" 8 (Arp_cache.parked_count f.arp);
+  check_int "ninth is a counted drop" 1 (hn_counter f "arp_drops");
+  (* Nine ARP requests went out; release them and the eight parked
+     datagrams: every mbuf must be back in the pool. *)
+  List.iter Ixmem.Mbuf.decref !(f.emitted);
+  List.iter Ixmem.Mbuf.decref (Arp_cache.take_parked f.arp hn_peer_ip);
+  check_int "no mbuf leaked" 0 (Ixmem.Mempool.live_count f.pool)
+
+let test_host_net_counts_bad_frames () =
+  let f = host_net_fixture () in
+  let runt = Ixmem.Mbuf.create () in
+  Ixmem.Mbuf.append runt "short";
+  check_bool "runt rejected" false (Host_net.rx f.net runt);
+  check_int "runt counted" 1 (hn_counter f "rx_csum_drops");
+  (* A TCP segment from the peer, framed; [corrupt] flips one byte at
+     an offset from the start of the frame. *)
+  let tcp_frame ~corrupt =
+    let m = Ixmem.Mbuf.create () in
+    Ixmem.Mbuf.append m "payload";
+    let seg = Ixnet.Tcp_segment.scratch () in
+    seg.Ixnet.Tcp_segment.src_port <- 1000;
+    seg.Ixnet.Tcp_segment.dst_port <- 80;
+    seg.Ixnet.Tcp_segment.ack_flag <- true;
+    seg.Ixnet.Tcp_segment.window <- 100;
+    Ixnet.Tcp_segment.prepend m ~src:hn_peer_ip ~dst:hn_ip seg;
+    Ixnet.Ipv4_packet.prepend_fields m ~src:hn_peer_ip ~dst:hn_ip
+      ~protocol:Ixnet.Ipv4_packet.Tcp ~ttl:64 ~ecn:0 ~payload_len:m.Ixmem.Mbuf.len;
+    Ixnet.Ethernet.prepend_fields m ~dst:hn_mac ~src:hn_peer_mac ~ethertype:Ixnet.Ethernet.Ipv4;
+    (match corrupt with
+    | None -> ()
+    | Some at ->
+        let b = m.Ixmem.Mbuf.buf and o = m.Ixmem.Mbuf.off + at in
+        Bytes.set_uint8 b o (Bytes.get_uint8 b o lxor 0xff));
+    m
+  in
+  (* Byte 14 + 8 is the IPv4 TTL (covered by the header checksum); byte
+     14 + 20 + 20 is the first TCP payload byte. *)
+  check_bool "bad IPv4 checksum rejected" false
+    (Host_net.rx f.net (tcp_frame ~corrupt:(Some 22)));
+  check_int "bad IPv4 checksum counted" 2 (hn_counter f "rx_csum_drops");
+  let bad_tcp = tcp_frame ~corrupt:(Some 54) in
+  check_bool "IPv4 header fine" true (Host_net.rx f.net bad_tcp);
+  check_bool "bad TCP checksum rejected" false (Host_net.decode_tcp f.net bad_tcp);
+  check_int "bad TCP checksum counted" 3 (hn_counter f "rx_csum_drops");
+  let good = tcp_frame ~corrupt:None in
+  check_bool "good frame accepted" true
+    (Host_net.rx f.net good && Host_net.decode_tcp f.net good);
+  check_int "good frame not counted" 3 (hn_counter f "rx_csum_drops");
+  check_int "destination port decoded" 80 (Host_net.seg f.net).Ixnet.Tcp_segment.dst_port
 
 (* ---------------- Policy ---------------- *)
 
@@ -228,7 +406,7 @@ let test_mtcp_echo_end_to_end () =
 let test_ix_latency_beats_linux () =
   let ix_stats, _ = run_echo_cluster ~server_kind:Harness.Cluster.Ix ~msgs:100 in
   let linux_stats, _ = run_echo_cluster ~server_kind:Harness.Cluster.Linux ~msgs:100 in
-  let p50 stats = Engine.Histogram.percentile stats.Apps.Echo.latency 50. in
+  let p50 stats = Ixtelemetry.Log_hist.percentile stats.Apps.Echo.latency 50. in
   check_bool "ix echo RTT < linux echo RTT" true (p50 ix_stats < p50 linux_stats)
 
 let test_connection_churn () =
@@ -532,6 +710,19 @@ let () =
         [
           Alcotest.test_case "lookup/learn" `Quick test_arp_cache;
           Alcotest.test_case "parking" `Quick test_arp_parking;
+        ] );
+      ( "host_net",
+        [
+          Alcotest.test_case "miss emits one request" `Quick
+            test_host_net_miss_emits_one_request;
+          Alcotest.test_case "reply releases parked in order" `Quick
+            test_host_net_reply_releases_in_order;
+          Alcotest.test_case "answers requests for the local IP" `Quick
+            test_host_net_answers_requests;
+          Alcotest.test_case "9th parked frame is a counted drop" `Quick
+            test_host_net_park_cap;
+          Alcotest.test_case "runts and bad checksums counted" `Quick
+            test_host_net_counts_bad_frames;
         ] );
       ( "policy",
         [
