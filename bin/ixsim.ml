@@ -1,8 +1,14 @@
-(* ixsim: command-line driver for the IX reproduction.
+(* ixsim: the command-line interface of the IX reproduction.
 
-   Subcommands run individual experiments with adjustable parameters —
-   handy for exploring the parameter space beyond what bench/main.exe
-   regenerates. *)
+     ixsim fig NAME       — regenerate one table/figure of the paper's §5
+                            (or [all] of them); names come from
+                            [Harness.Experiments.figures]
+     ixsim echo|memcached|netpipe|breakdown|chaos|conn-scale|ping
+                          — single runs with adjustable parameters
+     ixsim perf           — fixed-seed regression slices -> BENCH_PERF.json
+     ixsim micro          — Bechamel microbenchmarks of hot-path primitives
+
+   IX_BENCH_SCALE=0.3 shortens every measurement window (noisier). *)
 
 open Cmdliner
 
@@ -74,18 +80,14 @@ let output_term =
 let jobs_arg =
   Arg.(
     value
-    & opt int (Harness.Experiments.default_jobs ())
+    & opt int 1
     & info [ "j"; "jobs" ] ~docv:"N"
         ~doc:
-          "Fan independent simulations over $(docv) worker domains \
-           (default from IX_BENCH_JOBS, else 1).  Results are collected \
-           in submission order and are bit-identical to a sequential \
-           run with the same seeds.")
+          "Fan independent simulations over $(docv) worker domains.  \
+           Results are collected in submission order and are \
+           bit-identical to a sequential run with the same seeds.")
 
-(* --fast-path=off: the escape hatch disabling TCP header prediction on
-   every stack in the cluster; results must not change, only the
-   fast/slow hit counters. *)
-let fast_path_conv =
+let on_off_conv =
   let parse = function
     | "on" -> Ok true
     | "off" -> Ok false
@@ -93,15 +95,6 @@ let fast_path_conv =
   in
   let print fmt b = Format.pp_print_string fmt (if b then "on" else "off") in
   Arg.conv (parse, print)
-
-let fast_path_arg =
-  Arg.(
-    value & opt fast_path_conv true
-    & info [ "fast-path" ] ~docv:"on|off"
-        ~doc:
-          "Enable ($(b,on), default) or disable ($(b,off)) the TCP \
-           header-prediction receive fast path on every stack.  A pure \
-           optimization: $(b,off) must reproduce identical results.")
 
 let cores_arg = Arg.(value & opt int 8 & info [ "c"; "cores" ] ~doc:"Server cores.")
 
@@ -154,13 +147,13 @@ let adaptive_batch_arg =
            doorbells.  Off by default (fixed B from --batch).")
 
 let echo_cmd =
-  let run () output () kind fast_path elastic cores ports size n batch adaptive =
+  let run () output () kind elastic cores ports size n batch adaptive =
     let batch_mode =
       Option.value adaptive ~default:Ix_core.Batch.Fixed
     in
     let batch_stats = ref (0., 0., 0) in
     let p =
-      Harness.Experiments.run_echo ~output ~fast_path ~elastic ~kind ~ports
+      Harness.Experiments.run_echo ~output ~elastic ~kind ~ports
         ~cores ~msg_size:size ~msgs_per_conn:n ~batch_bound:batch ~batch_mode
         ~batch_stats ()
     in
@@ -181,8 +174,8 @@ let echo_cmd =
   in
   Cmd.v (Cmd.info "echo" ~doc:"Run the echo benchmark once (§5.3).")
     Term.(
-      const run $ log_term $ output_term $ gc_term $ kind_arg $ fast_path_arg
-      $ elastic_arg $ cores_arg $ ports_arg $ size_arg $ n_arg $ batch_arg
+      const run $ log_term $ output_term $ gc_term $ kind_arg $ elastic_arg
+      $ cores_arg $ ports_arg $ size_arg $ n_arg $ batch_arg
       $ adaptive_batch_arg)
 
 let breakdown_cmd =
@@ -203,10 +196,10 @@ let memcached_cmd =
   let rps_arg =
     Arg.(value & opt float 500_000. & info [ "r"; "rps" ] ~doc:"Target requests/second.")
   in
-  let run () output () kind fast_path cores workload rps batch =
+  let run () output () kind cores workload rps batch =
     let profile = Workloads.Size_dist.by_name workload in
     let r, kshare =
-      Harness.Experiments.run_memcached ~output ~fast_path ~kind
+      Harness.Experiments.run_memcached ~output ~kind
         ~server_threads:cores ~batch_bound:batch ~profile ~target_rps:rps ()
     in
     Printf.printf
@@ -222,52 +215,40 @@ let memcached_cmd =
   in
   Cmd.v (Cmd.info "memcached" ~doc:"Run one memcached load point (§5.5).")
     Term.(
-      const run $ log_term $ output_term $ gc_term $ kind_arg $ fast_path_arg
-      $ cores_arg $ workload_arg $ rps_arg $ batch_arg)
+      const run $ log_term $ output_term $ gc_term $ kind_arg $ cores_arg
+      $ workload_arg $ rps_arg $ batch_arg)
 
 let netpipe_cmd =
-  let run () () kind fast_path size =
-    let p = Harness.Experiments.netpipe_once ~fast_path ~kind ~size () in
+  let run () () kind size =
+    let p = Harness.Experiments.netpipe_once ~kind ~size () in
     Printf.printf "%s %dB: one-way %.1f us, goodput %.2f Gbps\n"
       p.Harness.Experiments.system p.Harness.Experiments.size
       p.Harness.Experiments.one_way_us p.Harness.Experiments.gbps
   in
   Cmd.v (Cmd.info "netpipe" ~doc:"Run one NetPIPE ping-pong point (§5.2).")
-    Term.(const run $ log_term $ gc_term $ kind_arg $ fast_path_arg $ size_arg)
+    Term.(const run $ log_term $ gc_term $ kind_arg $ size_arg)
+
+let timed name f =
+  let t0 = Unix.gettimeofday () in
+  f ();
+  Printf.printf "[%s finished in %.1fs wall clock]\n%!" name
+    (Unix.gettimeofday () -. t0)
 
 let fig_cmd =
   let module E = Harness.Experiments in
-  let fig_names =
-    "fig2, fig3a, fig3a-sim, fig3b, fig3c, fig4, fig5, fig6, batch-sweep, \
-     table2, ablations, incast, energy, elastic, all"
-  in
+  let names = List.map fst E.figures @ [ "all" ] in
   let fig_arg =
     Arg.(
       required
-      & pos 0 (some string) None
+      & pos 0 (some (enum (List.map (fun n -> (n, n)) names))) None
       & info [] ~docv:"FIGURE"
-          ~doc:(Printf.sprintf "Which sweep to regenerate: %s." fig_names))
+          ~doc:
+            (Printf.sprintf "Which sweep to regenerate: %s." (doc_alts names)))
   in
   let run () output () jobs name =
-    match name with
-    | "fig2" -> ignore (E.fig2 ~jobs ())
-    | "fig3a" -> ignore (E.fig3a ~output ~jobs ())
-    | "fig3a-sim" -> ignore (E.fig3a_sim ~output ~jobs ())
-    | "fig3b" -> ignore (E.fig3b ~output ~jobs ())
-    | "fig3c" -> ignore (E.fig3c ~output ~jobs ())
-    | "fig4" -> ignore (E.fig4 ~jobs ())
-    | "fig5" -> ignore (E.fig5 ~output ~jobs ())
-    | "fig6" -> ignore (E.fig6 ~output ~jobs ())
-    | "batch-sweep" -> ignore (E.batch_sweep ~output ~jobs ())
-    | "table2" -> E.table2 ~output ~jobs (E.fig5 ~output ~jobs ())
-    | "ablations" -> E.ablations ~output ~jobs ()
-    | "incast" -> E.incast ~jobs ()
-    | "energy" -> E.energy ~output ~jobs ()
-    | "elastic" -> ignore (E.elastic_scaling ~output ())
-    | "all" -> E.run_all ~output ~jobs ()
-    | other ->
-        Printf.eprintf "unknown figure %S (expected one of: %s)\n" other fig_names;
-        exit 1
+    match List.assoc_opt name E.figures with
+    | Some fig -> timed name (fun () -> fig (E.context ~output ~jobs ()))
+    | None -> timed "all experiments" (fun () -> E.run_all ~output ~jobs ())
   in
   Cmd.v
     (Cmd.info "fig"
@@ -357,7 +338,7 @@ let conn_scale_cmd =
   in
   let cookies_arg =
     Arg.(
-      value & opt fast_path_conv true
+      value & opt on_off_conv true
       & info [ "syn-cookies" ] ~docv:"on|off"
           ~doc:
             "Listen path: $(b,on) (default) answers SYNs with stateless \
@@ -378,9 +359,9 @@ let conn_scale_cmd =
             "Also run a SYN flood of $(docv) never-completed handshakes \
              against a cookie listener and report its (zero) TCB cost.")
   in
-  let run () () fast_path syn_cookies conns events seed flood =
+  let run () () syn_cookies conns events seed flood =
     let module CS = Workloads.Conn_scale in
-    let r = CS.run ~syn_cookies ~fast_path ~conns ~events ~seed () in
+    let r = CS.run ~syn_cookies ~conns ~events ~seed () in
     Printf.printf
       "conn-scale: %d conns sustained (store %d/%d), %d churn events\n\
       \  established %d, closes %d, reconnects %d, TIME_WAIT live %d\n\
@@ -411,8 +392,8 @@ let conn_scale_cmd =
           reconnects.  Reports resident bytes per connection and \
           allocation per event.")
     Term.(
-      const run $ log_term $ gc_term $ fast_path_arg $ cookies_arg $ conns_arg
-      $ events_arg $ seed_arg $ flood_arg)
+      const run $ log_term $ gc_term $ cookies_arg $ conns_arg $ events_arg
+      $ seed_arg $ flood_arg)
 
 let ping_cmd =
   let run () () =
@@ -437,11 +418,48 @@ let ping_cmd =
     (Cmd.info "ping" ~doc:"ICMP echo across the simulated fabric (dataplane ICMP).")
     Term.(const run $ log_term $ gc_term)
 
+let perf_cmd =
+  let smoke_arg =
+    Arg.(
+      value & flag
+      & info [ "smoke" ]
+          ~doc:
+            "Tiny horizons, plus the checks runtest relies on: valid JSON, \
+             non-zero events/s, and a fast-path-off run reproducing the \
+             fig2 snapshot bit-for-bit.")
+  in
+  let out_arg =
+    Arg.(
+      value & opt string "BENCH_PERF.json"
+      & info [ "out" ] ~docv:"FILE" ~doc:"Where to write the JSON results.")
+  in
+  let run () smoke jobs out = Perf.run ~smoke ~jobs ~out () in
+  Cmd.v
+    (Cmd.info "perf"
+       ~doc:
+         "Perf regression harness: times fixed-seed slices of the heaviest \
+          experiments, checks their snapshots are stable across runs and \
+          identical at --jobs width, runs the gated million-connection \
+          conn-scale legs, and writes BENCH_PERF.json.  Exits nonzero on \
+          any failed check or gate.")
+    Term.(const run $ log_term $ smoke_arg $ jobs_arg $ out_arg)
+
+let micro_cmd =
+  Cmd.v
+    (Cmd.info "micro" ~doc:"Bechamel microbenchmarks of the hot-path primitives.")
+    Term.(const Micro.run $ log_term)
+
 let main =
   Cmd.group
     (Cmd.info "ixsim" ~version:"1.0"
        ~doc:"Simulated reproduction of IX (OSDI '14): dataplane OS experiments.")
     [ echo_cmd; breakdown_cmd; memcached_cmd; netpipe_cmd; fig_cmd; chaos_cmd;
-      conn_scale_cmd; ping_cmd ]
+      conn_scale_cmd; ping_cmd; perf_cmd; micro_cmd ]
 
-let () = exit (Cmd.eval main)
+let () =
+  (* 32 MB minor heap for every subcommand (the 256 K-word default forces
+     a minor collection — in OCaml 5 a stop-the-world rendezvous across
+     every running domain — every couple of milliseconds of simulation).
+     [perf] and perfbench measure with this nursery. *)
+  Gc.set { (Gc.get ()) with Gc.minor_heap_size = 4 * 1024 * 1024 };
+  exit (Cmd.eval main)

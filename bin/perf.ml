@@ -1,131 +1,12 @@
-(* The benchmark harness: regenerates every table and figure of the
-   paper's evaluation (see DESIGN.md's per-experiment index), plus
-   design-choice ablations and Bechamel microbenchmarks of the hot-path
-   primitives.
+(* ixsim perf: fixed-seed regression slices -> BENCH_PERF.json.
 
-     dune exec bench/main.exe            — run everything
-     dune exec bench/main.exe fig3b      — one experiment
-     dune exec bench/main.exe micro      — microbenchmarks only
-     IX_BENCH_SCALE=0.3 dune exec ...    — shorter (noisier) windows *)
+   Times each slice of [Harness.Experiments] (fig2, fig4, fig5, fig3a,
+   migration, conn-scale, batch-sweep), checks same-seed and parallel
+   snapshot identity, and runs the million-connection conn-scale memory
+   gates.  [--smoke] shrinks every slice and adds the JSON, hit-counter
+   and fast-path-off checks that runtest relies on. *)
 
 module H = Harness.Experiments
-
-let gc_report = ref false
-
-let timed name f =
-  let t0 = Unix.gettimeofday () in
-  let mark = Harness.Report.gc_mark () in
-  let result = f () in
-  Printf.printf "[%s finished in %.1fs wall clock]\n%!" name (Unix.gettimeofday () -. t0);
-  if !gc_report then Harness.Report.print_gc_since ~name mark;
-  result
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel microbenchmarks of the hot-path primitives                  *)
-
-let micro () =
-  let open Bechamel in
-  let open Toolkit in
-  let mbuf = Ixmem.Mbuf.create () in
-  Ixmem.Mbuf.append mbuf (String.make 1400 'x');
-  let seg_mbuf = Ixmem.Mbuf.create () in
-  let ip_a = Ixnet.Ip_addr.of_octets 10 0 0 1
-  and ip_b = Ixnet.Ip_addr.of_octets 10 0 0 2 in
-  let test_toeplitz =
-    Test.make ~name:"toeplitz_hash_tuple"
-      (Staged.stage (fun () ->
-           ignore
-             (Ixhw.Toeplitz.hash_tuple ~src_ip:ip_a ~dst_ip:ip_b ~src_port:1234
-                ~dst_port:80 ())))
-  in
-  let test_checksum =
-    Test.make ~name:"checksum_1400B"
-      (Staged.stage (fun () ->
-           ignore (Ixnet.Checksum.compute mbuf.Ixmem.Mbuf.buf ~off:0 ~len:1400)))
-  in
-  let wheel = Timerwheel.Timer_wheel.create ~now:0 () in
-  let test_wheel =
-    Test.make ~name:"timer_wheel_schedule_cancel"
-      (Staged.stage (fun () ->
-           let t = Timerwheel.Timer_wheel.schedule wheel ~deadline:1_000_000 ignore in
-           Timerwheel.Timer_wheel.cancel wheel t))
-  in
-  let pool = Ixmem.Mempool.create ~name:"bench" () in
-  let test_mempool =
-    Test.make ~name:"mempool_alloc_free"
-      (Staged.stage (fun () ->
-           match Ixmem.Mempool.alloc pool with
-           | Some m -> Ixmem.Mbuf.decref m
-           | None -> ()))
-  in
-  let hist = Ixtelemetry.Log_hist.create () in
-  let test_histogram =
-    Test.make ~name:"histogram_record"
-      (Staged.stage (fun () -> Ixtelemetry.Log_hist.record hist 123_456))
-  in
-  let q = Engine.Event_queue.create () in
-  let test_event_queue =
-    Test.make ~name:"event_queue_push_pop"
-      (Staged.stage (fun () ->
-           Engine.Event_queue.push q ~time:42 ();
-           ignore (Engine.Event_queue.pop q)))
-  in
-  let test_tcp_encode =
-    Test.make ~name:"tcp_segment_encode"
-      (Staged.stage (fun () ->
-           Ixmem.Mbuf.reset seg_mbuf;
-           Ixmem.Mbuf.append seg_mbuf "payload-payload-payload";
-           Ixnet.Tcp_segment.prepend seg_mbuf ~src:ip_a ~dst:ip_b
-             {
-               Ixnet.Tcp_segment.src_port = 1;
-               dst_port = 2;
-               seq = 100;
-               ack = 200;
-               syn = false;
-               ack_flag = true;
-               fin = false;
-               rst = false;
-               psh = true;
-               ece = false;
-               cwr = false;
-               window = 1000;
-               mss = None;
-               wscale = None;
-               sack = None;
-               payload_off = 0;
-               payload_len = 0;
-             }))
-  in
-  let tests =
-    Test.make_grouped ~name:"hot-path"
-      [
-        test_toeplitz;
-        test_checksum;
-        test_wheel;
-        test_mempool;
-        test_histogram;
-        test_event_queue;
-        test_tcp_encode;
-      ]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
-  let raw = Benchmark.all cfg instances tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let results = Hashtbl.fold (fun k v acc -> (k, v) :: acc) results [] in
-  Printf.printf "\n== Microbenchmarks (ns/op) ==\n";
-  List.iter
-    (fun (name, result) ->
-      match Bechamel.Analyze.OLS.estimates result with
-      | Some (est :: _) -> Printf.printf "%-40s %10.1f ns/op\n" name est
-      | Some [] | None -> Printf.printf "%-40s (no estimate)\n" name)
-    (List.sort compare results)
-
-(* ------------------------------------------------------------------ *)
-(* perf: fixed-seed regression slices -> BENCH_PERF.json                *)
 
 (* A minimal JSON reader — just enough for the perf-smoke check that
    the emitted file is well-formed (no JSON library in the tree). *)
@@ -243,9 +124,9 @@ type perf_row = {
 let run_slice f =
   Gc.compact ();
   (* [Gc.minor_words ()], not [quick_stat]: in native code the stat
-     record's counter only advances at minor collections, so with the
-     32 MB nursery below a slice allocating less than that would read
-     as exactly zero. *)
+     record's counter only advances at minor collections, so with
+     ixsim's 32 MB nursery a slice allocating less than that would
+     read as exactly zero. *)
   let m0 = Gc.minor_words () in
   let t0 = Unix.gettimeofday () in
   let slice = f () in
@@ -297,19 +178,19 @@ type conn_scale_report = {
 
 let conn_scale_gates ~smoke () =
   let module CS = Workloads.Conn_scale in
-  (* 10k -> 1M is the ISSUE's stated range; smoke keeps the same shape
-     two orders of magnitude down so runtest stays fast. *)
+  (* 10k -> 1M is the range DESIGN.md §8b states; smoke keeps the same
+     shape two orders of magnitude down so runtest stays fast. *)
   let base_conns, full_conns, events, flood_syns =
     if smoke then (2_000, 20_000, 20_000, 20_000)
     else (10_000, 1_000_000, 200_000, 1_000_000)
   in
-  let leg name f =
+  let leg conns =
     let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (name, Unix.gettimeofday () -. t0, r)
+    let r = CS.run ~conns ~events () in
+    (Unix.gettimeofday () -. t0, r)
   in
-  let _, base_wall, base = leg "base" (fun () -> CS.run ~conns:base_conns ~events ()) in
-  let _, full_wall, full = leg "full" (fun () -> CS.run ~conns:full_conns ~events ()) in
+  let base_wall, base = leg base_conns in
+  let full_wall, full = leg full_conns in
   let flood = CS.syn_flood ~syns:flood_syns () in
   let flatness =
     if base.CS.r_churn_minor_words_per_event > 0. then
@@ -382,12 +263,10 @@ let conn_scale_gates ~smoke () =
   in
   { cs_json = json; cs_violations = violations }
 
-let perf_json ~scale ~fast_path ?parallel ?conn_scale rows =
+let perf_json ~scale ?parallel ?conn_scale rows =
   let b = Buffer.create 1024 in
   Buffer.add_string b "{\n  \"schema\": \"ix-bench-perf/1\",\n";
   Buffer.add_string b (Printf.sprintf "  \"scale\": %g,\n" scale);
-  Buffer.add_string b
-    (Printf.sprintf "  \"fast_path\": %b,\n" fast_path);
   Buffer.add_string b "  \"experiments\": [\n";
   List.iteri
     (fun i r ->
@@ -441,30 +320,30 @@ let read_file path =
   close_in ic;
   s
 
-let perf ~smoke ~jobs ~fast_path ~out () =
+let run ~smoke ~jobs ~out () =
   (* Pin the measurement windows so rows are comparable across runs
      regardless of the caller's IX_BENCH_SCALE. *)
   Unix.putenv "IX_BENCH_SCALE" (if smoke then "0.05" else "0.2");
   let slices =
     if smoke then
       [
-        (fun () -> H.perf_fig2_slice ~fast_path ~sizes:[ 1_024 ] ());
-        (fun () -> H.perf_fig4_slice ~fast_path ~conns:1_000 ());
-        (fun () -> H.perf_migration_slice ~fast_path ());
-        (fun () -> H.perf_conn_scale_slice ~fast_path ~conns:2_000 ~events:6_000 ());
+        (fun () -> H.perf_fig2_slice ~sizes:[ 1_024 ] ());
+        (fun () -> H.perf_fig4_slice ~conns:1_000 ());
+        (fun () -> H.perf_migration_slice ());
+        (fun () -> H.perf_conn_scale_slice ~conns:2_000 ~events:6_000 ());
         (fun () ->
-          H.perf_batch_sweep_slice ~fast_path ~client_hosts:2 ~client_threads:4
+          H.perf_batch_sweep_slice ~client_hosts:2 ~client_threads:4
             ~sessions:96 ());
       ]
     else
       [
-        (fun () -> H.perf_fig2_slice ~fast_path ());
-        (fun () -> H.perf_fig4_slice ~fast_path ());
-        (fun () -> H.perf_fig5_slice ~fast_path ());
-        (fun () -> H.perf_fig3a_slice ~fast_path ());
-        (fun () -> H.perf_migration_slice ~fast_path ());
-        (fun () -> H.perf_conn_scale_slice ~fast_path ());
-        (fun () -> H.perf_batch_sweep_slice ~fast_path ());
+        (fun () -> H.perf_fig2_slice ());
+        (fun () -> H.perf_fig4_slice ());
+        (fun () -> H.perf_fig5_slice ());
+        (fun () -> H.perf_fig3a_slice ());
+        (fun () -> H.perf_migration_slice ());
+        (fun () -> H.perf_conn_scale_slice ());
+        (fun () -> H.perf_batch_sweep_slice ());
       ]
   in
   let rows = List.map run_slice slices in
@@ -541,7 +420,7 @@ let perf ~smoke ~jobs ~fast_path ~out () =
   in
   let gates = conn_scale_gates ~smoke () in
   let json =
-    perf_json ~scale:(H.scale ()) ~fast_path ?parallel
+    perf_json ~scale:(H.scale ()) ?parallel
       ~conn_scale:gates.cs_json rows
   in
   let oc = open_out out in
@@ -582,149 +461,27 @@ let perf ~smoke ~jobs ~fast_path ~out () =
     (* Hit-counter sanity, and the pure-optimization proof: the same
        slice with header prediction disabled must reproduce the metric
        snapshot bit-for-bit (only the hit split may differ). *)
-    if fast_path then begin
-      if (List.hd rows).fast_hits <= 0 then begin
-        Printf.eprintf "perf-smoke: fast path enabled but recorded no hits\n%!";
-        exit 1
-      end;
-      let off =
-        run_slice (fun () ->
-            H.perf_fig2_slice ~fast_path:false ~sizes:[ 1_024 ] ())
-      in
-      if off.fast_hits <> 0 then begin
-        Printf.eprintf
-          "perf-smoke: --fast-path=off still recorded %d fast-path hits\n%!"
-          off.fast_hits;
-        exit 1
-      end;
-      if off.snapshot <> (List.hd rows).snapshot then begin
-        Printf.eprintf
-          "perf-smoke: fast-path on/off snapshots differ:\n  on:  %s\n  off: %s\n%!"
-          (List.hd rows).snapshot off.snapshot;
-        exit 1
-      end;
-      Printf.printf
-        "perf-smoke: fast-path off reproduces the snapshot bit-for-bit\n%!"
-    end
-    else
-      List.iter
-        (fun r ->
-          if r.fast_hits <> 0 then begin
-            Printf.eprintf
-              "perf-smoke: --fast-path=off still recorded %d fast-path hits \
-               in %s\n%!"
-              r.fast_hits r.row_name;
-            exit 1
-          end)
-        rows;
+    if (List.hd rows).fast_hits <= 0 then begin
+      Printf.eprintf "perf-smoke: fast path enabled but recorded no hits\n%!";
+      exit 1
+    end;
+    let off =
+      run_slice (fun () ->
+          H.perf_fig2_slice ~fast_path:false ~sizes:[ 1_024 ] ())
+    in
+    if off.fast_hits <> 0 then begin
+      Printf.eprintf
+        "perf-smoke: fast path off still recorded %d fast-path hits\n%!"
+        off.fast_hits;
+      exit 1
+    end;
+    if off.snapshot <> (List.hd rows).snapshot then begin
+      Printf.eprintf
+        "perf-smoke: fast-path on/off snapshots differ:\n  on:  %s\n  off: %s\n%!"
+        (List.hd rows).snapshot off.snapshot;
+      exit 1
+    end;
+    Printf.printf
+      "perf-smoke: fast-path off reproduces the snapshot bit-for-bit\n%!";
     print_endline "perf-smoke: ok"
   end
-
-let usage () =
-  print_endline
-    "usage: main.exe [--metrics] [--trace=FILE] [--gc] [--smoke] [--jobs=N] \
-     [--fast-path=on|off] [--out=FILE] \
-     [fig2|fig3a|fig3a-sim|fig3b|fig3c|fig4|fig5|fig6|batch-sweep|table2|ablations|incast|energy|elastic|breakdown|chaos|conn-scale|micro|perf|all]";
-  exit 1
-
-let () =
-  (* 32 MB minor heap (the 256 K-word default forces a minor
-     collection — in OCaml 5 a stop-the-world rendezvous across every
-     running domain — every couple of milliseconds of simulation).
-     The simulations' allocation rate is low after the scratch-record
-     refactor, so a larger nursery directly cuts collection count. *)
-  Gc.set { (Gc.get ()) with Gc.minor_heap_size = 4 * 1024 * 1024 };
-  let metrics = ref false and trace = ref None in
-  let smoke = ref false and out = ref None in
-  let fast_path = ref true in
-  (* IX_BENCH_JOBS sets the default; --jobs=N overrides it. *)
-  let jobs = ref (H.default_jobs ()) in
-  let targets =
-    List.filter
-      (fun arg ->
-        if arg = "--metrics" then begin
-          metrics := true;
-          false
-        end
-        else if arg = "--gc" then begin
-          gc_report := true;
-          false
-        end
-        else if arg = "--smoke" then begin
-          smoke := true;
-          false
-        end
-        else if String.length arg > 6 && String.sub arg 0 6 = "--out=" then begin
-          out := Some (String.sub arg 6 (String.length arg - 6));
-          false
-        end
-        else if String.length arg > 12 && String.sub arg 0 12 = "--fast-path=" then begin
-          (match String.sub arg 12 (String.length arg - 12) with
-          | "on" -> fast_path := true
-          | "off" -> fast_path := false
-          | _ ->
-              Printf.eprintf "--fast-path expects on or off\n";
-              exit 1);
-          false
-        end
-        else if String.length arg > 7 && String.sub arg 0 7 = "--jobs=" then begin
-          (match int_of_string_opt (String.sub arg 7 (String.length arg - 7)) with
-          | Some n when n >= 1 -> jobs := n
-          | Some _ | None ->
-              Printf.eprintf "--jobs expects a positive integer\n";
-              exit 1);
-          false
-        end
-        else if String.length arg > 8 && String.sub arg 0 8 = "--trace=" then begin
-          trace := Some (String.sub arg 8 (String.length arg - 8));
-          false
-        end
-        else true)
-      (List.tl (Array.to_list Sys.argv))
-  in
-  let output = { H.metrics = !metrics; trace = !trace } in
-  let jobs = !jobs in
-  let target = match targets with t :: _ -> t | [] -> "all" in
-  match target with
-  | "perf" ->
-      perf ~smoke:!smoke ~jobs ~fast_path:!fast_path
-        ~out:(Option.value !out ~default:"BENCH_PERF.json")
-        ()
-  | "fig2" -> ignore (timed "fig2" (fun () -> H.fig2 ~jobs ()))
-  | "fig3a" -> ignore (timed "fig3a" (fun () -> H.fig3a ~output ~jobs ()))
-  | "fig3a-sim" ->
-      ignore (timed "fig3a-sim" (fun () -> H.fig3a_sim ~output ~jobs ()))
-  | "fig3b" -> ignore (timed "fig3b" (fun () -> H.fig3b ~output ~jobs ()))
-  | "fig3c" -> ignore (timed "fig3c" (fun () -> H.fig3c ~output ~jobs ()))
-  | "fig4" -> ignore (timed "fig4" (fun () -> H.fig4 ~jobs ()))
-  | "fig5" -> ignore (timed "fig5" (fun () -> H.fig5 ~output ~jobs ()))
-  | "fig6" -> ignore (timed "fig6" (fun () -> H.fig6 ~output ~jobs ()))
-  | "batch-sweep" ->
-      ignore (timed "batch-sweep" (fun () -> H.batch_sweep ~output ~jobs ()))
-  | "table2" ->
-      let f5 = timed "fig5 (for table 2)" (fun () -> H.fig5 ~output ~jobs ()) in
-      timed "table2" (fun () -> H.table2 ~output ~jobs f5)
-  | "ablations" -> timed "ablations" (fun () -> H.ablations ~output ~jobs ())
-  | "incast" -> timed "incast" (fun () -> H.incast ~jobs ())
-  | "energy" -> timed "energy" (fun () -> H.energy ~output ~jobs ())
-  | "elastic" ->
-      ignore (timed "elastic" (fun () -> H.elastic_scaling ~output ()))
-  | "breakdown" -> ignore (timed "breakdown" (fun () -> H.echo_breakdown ~output ()))
-  | "chaos" ->
-      (* A longer soak than the runtest smoke: 20 simulated ms per leg
-         under the default fault plan, every leg audited.  Raises (and
-         exits nonzero) on any audit failure. *)
-      ignore (timed "chaos" (fun () -> H.chaos ~jobs ~soak_ms:20 ()))
-  | "conn-scale" ->
-      (* The million-connection gates on their own: 10k/1M churn legs
-         plus the SYN-flood leg (--smoke scales both down).  Exits
-         nonzero if any memory or statelessness gate fails. *)
-      let gates =
-        timed "conn-scale" (fun () -> conn_scale_gates ~smoke:!smoke ())
-      in
-      if gates.cs_violations <> [] then exit 1
-  | "micro" -> micro ()
-  | "all" ->
-      timed "all experiments" (fun () -> H.run_all ~output ~jobs ());
-      micro ()
-  | _ -> usage ()

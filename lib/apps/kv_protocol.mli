@@ -14,9 +14,6 @@ type op = Get | Set
 type request = { op : op; reqid : int; key : string; value : string }
 type response = { status : int; reqid : int; value : string }
 
-val max_key_len : int
-val max_value_len : int
-
 val hit : int
 val miss : int
 val stored : int

@@ -17,8 +17,6 @@ type app_costs = {
   set_lock_ns : int;  (** global-lock hold time for a SET *)
 }
 
-val default_app_costs : app_costs
-
 type t
 
 val server :

@@ -656,7 +656,6 @@ and kick t =
 let set_app t f = t.app <- f
 
 let udp_bind t ~port = Hashtbl.replace t.udp_binds port ()
-let udp_unbind t ~port = Hashtbl.remove t.udp_binds port
 
 let listen t ~port =
   Tcp_endpoint.listen (endpoint t) ~port ~on_accept:(fun tcb ->
@@ -796,7 +795,6 @@ let note_app_fault t = Metrics.incr t.c_app_faults
 let app_faults t = Metrics.value t.c_app_faults
 let pool t = t.pool
 let cycles_run t = Metrics.value t.c_cycles
-let events_delivered t = Metrics.value t.c_events
 let syscalls_processed t = Metrics.value t.c_syscalls
 let nonresponsive_marks t = Metrics.value t.c_nonresponsive
 let metrics t = t.metrics

@@ -93,8 +93,6 @@ val udp_bind : t -> port:int -> unit
 (** Open a UDP port; datagrams surface as [Ev_udp_recv] events
     (zero-copy mbuf slices).  Send with [Sys_udp_sendv]. *)
 
-val udp_unbind : t -> port:int -> unit
-
 val syscall : t -> Ix_api.syscall -> on_result:(Ix_api.syscall_result -> unit) -> unit
 (** Stage a batched system call (valid only while the application is
     running in user mode; raises [Protection.Protection_violation]
@@ -144,10 +142,6 @@ val migrate_flows_to : t -> t -> unit
     ({!migrate_group_to}) and the destination replays the parked frames
     ({!unpark_inbound}) in arrival order. *)
 
-val rss_group_of_flow : t -> Ixtcp.Tcb.t -> int
-(** The RSS flow group of a connection's receive direction at this
-    host — the unit of migration.  [-1] for a thread with no queues. *)
-
 val migrate_group_to : t -> t -> group:int -> int list
 (** Hand every connection of [group] (flow-table entries, handles and
     pending timers) to the destination thread; returns the cookies of
@@ -180,7 +174,6 @@ val add_cycle_watcher : t -> (unit -> bool) -> unit
     an idle source still evaluates it. *)
 
 val cycles_run : t -> int
-val events_delivered : t -> int
 val syscalls_processed : t -> int
 
 val note_app_fault : t -> unit

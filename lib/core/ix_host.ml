@@ -128,14 +128,6 @@ let live_threads t = t.active
 let set_live_threads t n = t.active <- n
 let group_home t g = (Rcu.read t.placement).(g)
 
-let groups_homed_on t thread =
-  let placement = Rcu.read t.placement in
-  let acc = ref [] in
-  for g = Ixhw.Nic.indirection_entries - 1 downto 0 do
-    if placement.(g) = thread then acc := g :: !acc
-  done;
-  !acc
-
 (* Publish a new home for [group] through RCU; [retired] fires once
    every elastic thread has passed a quiescent point (the end of a
    run-to-completion cycle) since the swap.  Kick all threads so idle

@@ -68,9 +68,6 @@ val group_home : t -> int -> int
 (** The thread currently homing RSS flow group [g] (coherence-free
     RCU read of the placement map). *)
 
-val groups_homed_on : t -> int -> int list
-(** All flow groups homed on a thread, ascending. *)
-
 val publish_group_home :
   t -> group:int -> thread:int -> retired:(unit -> unit) -> unit
 (** RCU-publish a new home for [group]; [retired] fires once every

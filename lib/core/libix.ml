@@ -38,9 +38,6 @@ and t = {
          migrates between threads (events route by cookie) *)
   mutable dirty_conns : conn list;
   mutable zc_reader : (conn -> Mbuf.t -> int -> int -> unit) option;
-  mutable zc_udp_reader :
-    (src:Ixnet.Ip_addr.t * int -> dst_port:int -> Mbuf.t -> int -> int -> unit)
-    option;
 }
 
 let default_handlers =
@@ -54,7 +51,6 @@ let default_handlers =
 let dataplane t = t.dp
 let peer conn = conn.peer
 let conn_count t = Hashtbl.length t.conns
-let pending_send_bytes conn = conn.queued_bytes
 let owner conn = conn.owner
 let home_thread conn = Dataplane.thread_id conn.owner.dp
 let cookie conn = conn.cookie
@@ -162,21 +158,14 @@ let handle_event t ev =
           Hashtbl.remove t.conns cookie;
           conn.handlers.on_closed conn reason)
   | Ix_api.Ev_udp_recv { dst_port; src_ip; src_port; mbuf; off; len } -> (
-      match t.zc_udp_reader with
-      | Some reader ->
-          (* Zero-copy contract, like Ev_recv: the reader sees the
-             payload in place and owns the mbuf reference (release
-             with [udp_recv_done]). *)
-          reader ~src:(src_ip, src_port) ~dst_port mbuf off len
-      | None -> (
-          match Hashtbl.find t.udp_handlers dst_port with
-          | exception Not_found -> Mbuf.decref mbuf
-          | handler ->
-              (* Compatibility path: one copy, close to its use (§6). *)
-              let data = Bytes.sub_string mbuf.Mbuf.buf off len in
-              Dataplane.charge_user t.dp (len * 100 / 1024);
-              Mbuf.decref mbuf;
-              handler ~src:(src_ip, src_port) data))
+      match Hashtbl.find t.udp_handlers dst_port with
+      | exception Not_found -> Mbuf.decref mbuf
+      | handler ->
+          (* Compatibility path: one copy, close to its use (§6). *)
+          let data = Bytes.sub_string mbuf.Mbuf.buf off len in
+          Dataplane.charge_user t.dp (len * 100 / 1024);
+          Mbuf.decref mbuf;
+          handler ~src:(src_ip, src_port) data)
 
 (* §4.5 containment: an exception out of an application handler is the
    app's fault, not the dataplane's — the offending connection is
@@ -233,7 +222,6 @@ let create ?cookie_alloc dp =
       cookie_alloc;
       dirty_conns = [];
       zc_reader = None;
-      zc_udp_reader = None;
     }
   in
   Dataplane.set_app dp (fun events ->
@@ -285,13 +273,6 @@ let udp_send t ~src_port ~dst_ip ~dst_port data =
     ~on_result:ignore
 
 let set_zero_copy_reader t reader = t.zc_reader <- Some reader
-let set_zero_copy_udp_reader t reader = t.zc_udp_reader <- Some reader
-
-(* No user-copy charge here: the compat path's charge models the copy
-   out of the mbuf, which a zero-copy reader skips — that is the win. *)
-let udp_recv_done _t mbuf = Mbuf.decref mbuf
-
-let udp_handler t ~port = Hashtbl.find_opt t.udp_handlers port
 
 (* Conn-directed operations route through [conn.owner]: after a
    flow-group migration the TCB (and its handle) lives on another

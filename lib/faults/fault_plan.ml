@@ -301,8 +301,6 @@ let instantiate spec ~sim ~seed ~metrics =
     c_hostile_acks = c "hostile_acks";
   }
 
-let spec_of t = t.spec
-
 (* Window faults are pure functions of simulated time: inside the
    window iff [(now + phase) mod period < window].  No per-event rng
    draw, so gates consulted at hardware-determined instants cannot

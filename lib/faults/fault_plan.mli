@@ -93,9 +93,6 @@ val wire_faults : spec -> bool
     nonzero).  The chaos audit uses this to know when the NIC-side
     frame-conservation check applies. *)
 
-val hostile_faults : spec -> bool
-(** Whether any hostile forgery rate is nonzero. *)
-
 type t
 (** An armed plan: spec + rng streams + counters. *)
 
@@ -104,8 +101,6 @@ val instantiate :
 (** Create a plan instance for one simulation.  [metrics] receives the
     [faults.*] counters; [seed] (with the spec) fully determines every
     injection decision.  Window phases are drawn here, once. *)
-
-val spec_of : t -> spec
 
 val arm_link : t -> Ixhw.Link.t -> unit
 (** Install the wire-fault/flap tap on a link's delivery.  A no-op when

@@ -24,8 +24,6 @@ type tr =
   | T_state of Ixtcp.Tcp_state.t
   | T_acc of int  (** bytes accepted by an application send *)
 
-val show_tr : tr -> string
-
 type report = {
   equal : bool;
   digest : int;  (** order-sensitive hash of the real trace *)

@@ -41,7 +41,7 @@ let kind_name = function
   | Cluster.Linux -> "Linux"
   | Cluster.Mtcp -> "mTCP"
 
-(* [--fast-path=off] support: a per-kind TCP config override that
+(* [~fast_path:false] support: a per-kind TCP config override that
    disables the header-prediction receive fast path
    ([Tcb.config.fast_path]).  [None] keeps the stack's own default
    config, i.e. fast path on. *)
@@ -87,11 +87,6 @@ let accumulate_fast_path_hits ?hits (cluster : Cluster.t) =
 type output = { metrics : bool; trace : string option }
 
 let default_output = { metrics = false; trace = None }
-
-let default_jobs () =
-  match Sys.getenv_opt "IX_BENCH_JOBS" with
-  | Some s -> ( try max 1 (int_of_string (String.trim s)) with _ -> 1)
-  | None -> 1
 
 (* Telemetry prints from inside runners while they execute, so
    requesting it forces the sequential path — interleaved tables would
@@ -193,19 +188,12 @@ let host_batch_stats host =
 let run_echo ?(output = default_output) ?(label = "") ?(client_hosts = 6)
     ?(client_threads = 8) ?(sessions = 768) ?cache ?pcie ?(zero_copy = true)
     ?(polling = true) ?(batch_bound = 64) ?(batch_mode = Ix_core.Batch.Fixed)
-    ?batch_stats ?(fast_path = true) ?hits
-    ?(elastic = false) ~kind ~ports ~cores ~msg_size ~msgs_per_conn () =
+    ?batch_stats ?hits ?(elastic = false) ~kind ~ports ~cores ~msg_size ~msgs_per_conn () =
   let server =
     Cluster.server_spec ~threads:cores ~nic_ports:ports ~batch_bound
-      ~batch_mode ~zero_copy ~polling ?cache ?pcie
-      ?tcp_config:(tcp_override ~fast_path kind)
-      kind
+      ~batch_mode ~zero_copy ~polling ?cache ?pcie kind
   in
-  let cluster =
-    Cluster.build ~client_hosts ~client_threads
-      ?client_tcp_config:(tcp_override ~fast_path Cluster.Linux)
-      ~server ()
-  in
+  let cluster = Cluster.build ~client_hosts ~client_threads ~server () in
   (* --elastic: arm the core-allocation policy loop on an IX server
      ([cores] becomes provisioned capacity; the loop starts at one live
      core and scales with load).  Off by default — an elastic-off run
@@ -346,7 +334,7 @@ let fig3_systems =
     ("IX-40G", Cluster.Ix, 4);
   ]
 
-let fig3a ?(output = default_output) ?(jobs = default_jobs ()) () =
+let fig3a ?(output = default_output) ?(jobs = 1) () =
   let jobs = resolve_jobs ~output jobs in
   let cores_list = [ 1; 2; 3; 4; 6; 8 ] in
   let points =
@@ -360,45 +348,11 @@ let fig3a ?(output = default_output) ?(jobs = default_jobs ()) () =
              cores_list)
          fig3_systems)
   in
-  let rows =
-    List.map
-      (fun p ->
-        [
-          p.label;
-          string_of_int p.cores;
-          Report.mps p.msgs_per_sec;
-          Report.mps p.conns_per_sec;
-        ])
-      points
-  in
-  Report.table ~title:"Fig 3a: multi-core scalability (echo s=64B, n=1)"
-    ~headers:[ "system"; "cores"; "msgs/s"; "conns/s" ]
-    rows;
-  points
-
-(* The sharded-sim reading of Fig. 3a, IX only: every point is one
-   simulated host running N per-core dataplanes fed by the NIC's RSS
-   indirection table (flow groups are the unit of placement), and the
-   table makes the scaling factor explicit with a speedup-vs-1-core
-   column — the near-linear-scaling deliverable of DESIGN.md §8. *)
-let fig3a_sim ?(output = default_output) ?(jobs = default_jobs ()) () =
-  let jobs = resolve_jobs ~output jobs in
-  let cores_list = [ 1; 2; 3; 4; 6; 8 ] in
-  let points =
-    par_map ~jobs
-      (List.concat_map
-         (fun (label, ports) ->
-           List.map
-             (fun cores () ->
-               run_echo ~output ~label ~kind:Cluster.Ix ~ports ~cores
-                 ~msg_size:64 ~msgs_per_conn:1 ())
-             cores_list)
-         [ ("IX-10G", 1); ("IX-40G", 4) ])
-  in
+  (* Speedup over the same system's 1-core point: near-linear scaling
+     of IX's per-core dataplanes behind RSS is the acceptance shape
+     (DESIGN.md §8; test_elastic asserts it on a reduced sweep). *)
   let base label =
-    match
-      List.find_opt (fun p -> p.label = label && p.cores = 1) points
-    with
+    match List.find_opt (fun p -> p.label = label && p.cores = 1) points with
     | Some p when p.msgs_per_sec > 0. -> p.msgs_per_sec
     | _ -> 0.
   in
@@ -410,19 +364,17 @@ let fig3a_sim ?(output = default_output) ?(jobs = default_jobs ()) () =
           p.label;
           string_of_int p.cores;
           Report.mps p.msgs_per_sec;
-          (if b <= 0. then "-"
-           else Printf.sprintf "%.2fx" (p.msgs_per_sec /. b));
+          Report.mps p.conns_per_sec;
+          (if b <= 0. then "-" else Printf.sprintf "%.2fx" (p.msgs_per_sec /. b));
         ])
       points
   in
-  Report.table
-    ~title:
-      "Fig 3a (sharded sim): one host, N per-core dataplanes, RSS flow groups"
-    ~headers:[ "system"; "cores"; "msgs/s"; "speedup" ]
+  Report.table ~title:"Fig 3a: multi-core scalability (echo s=64B, n=1)"
+    ~headers:[ "system"; "cores"; "msgs/s"; "conns/s"; "speedup" ]
     rows;
   points
 
-let fig3b ?(output = default_output) ?(jobs = default_jobs ()) () =
+let fig3b ?(output = default_output) ?(jobs = 1) () =
   let jobs = resolve_jobs ~output jobs in
   let ns = [ 1; 8; 32; 128; 512; 1024 ] in
   let points =
@@ -446,7 +398,7 @@ let fig3b ?(output = default_output) ?(jobs = default_jobs ()) () =
     ~headers:[ "system"; "n"; "msgs/s" ] rows;
   points
 
-let fig3c ?(output = default_output) ?(jobs = default_jobs ()) () =
+let fig3c ?(output = default_output) ?(jobs = 1) () =
   let jobs = resolve_jobs ~output jobs in
   let sizes = [ 64; 256; 1024; 4096; 8192 ] in
   let points =
@@ -506,7 +458,7 @@ let netpipe_once ?(fast_path = true) ?hits ~kind ~size () =
   | None ->
       ({ system = kind_name kind; size; one_way_us = nan; gbps = nan } : netpipe_point)
 
-let fig2 ?(jobs = default_jobs ())
+let fig2 ?(jobs = 1)
     ?(sizes = [ 64; 1024; 4096; 16_384; 65_536; 131_072; 262_144; 393_216; 524_288 ])
     () =
   let points =
@@ -529,19 +481,10 @@ let fig2 ?(jobs = default_jobs ())
 (* ------------------------------------------------------------------ *)
 (* Fig. 4: connection scalability                                      *)
 
-let run_connection_scaling ?(fast_path = true) ?hits ~kind ~conns ~workers
-    () =
+let run_connection_scaling ?hits ~kind ~conns ~workers () =
   let cache = Ixhw.Cache_model.create () in
-  let server =
-    Cluster.server_spec ~threads:8 ~nic_ports:4 ~cache
-      ?tcp_config:(tcp_override ~fast_path kind)
-      kind
-  in
-  let cluster =
-    Cluster.build ~client_hosts:6 ~client_threads:8
-      ?client_tcp_config:(tcp_override ~fast_path Cluster.Linux)
-      ~server ()
-  in
+  let server = Cluster.server_spec ~threads:8 ~nic_ports:4 ~cache kind in
+  let cluster = Cluster.build ~client_hosts:6 ~client_threads:8 ~server () in
   Apps.Echo.server cluster.Cluster.server ~port:7000 ~msg_size:64
     ~app_ns:150;
   let sim = cluster.Cluster.sim in
@@ -620,7 +563,7 @@ let run_connection_scaling ?(fast_path = true) ?hits ~kind ~conns ~workers
   accumulate_fast_path_hits ?hits cluster;
   float_of_int (!completed - base) /. Engine.Sim_time.to_float_s measure
 
-let fig4 ?(jobs = default_jobs ())
+let fig4 ?(jobs = 1)
     ?(conn_counts = [ 100; 1_000; 10_000; 50_000; 100_000; 250_000 ]) () =
   let points =
     par_map ~jobs
@@ -643,18 +586,12 @@ let fig4 ?(jobs = default_jobs ())
 (* ------------------------------------------------------------------ *)
 (* Fig. 5 / Fig. 6 / Table 2: memcached                                *)
 
-let run_memcached ?(output = default_output) ?(fast_path = true) ?hits ~kind
-    ~server_threads ?(batch_bound = 64) ~profile ~target_rps () =
+let run_memcached ?(output = default_output) ?hits ~kind ~server_threads
+    ?(batch_bound = 64) ~profile ~target_rps () =
   let server =
-    Cluster.server_spec ~threads:server_threads ~nic_ports:1 ~batch_bound
-      ?tcp_config:(tcp_override ~fast_path kind)
-      kind
+    Cluster.server_spec ~threads:server_threads ~nic_ports:1 ~batch_bound kind
   in
-  let cluster =
-    Cluster.build ~client_hosts:6 ~client_threads:8
-      ?client_tcp_config:(tcp_override ~fast_path Cluster.Linux)
-      ~server ()
-  in
+  let cluster = Cluster.build ~client_hosts:6 ~client_threads:8 ~server () in
   let mc =
     Apps.Memcached.server cluster.Cluster.server
       ~now:(Cluster.now cluster)
@@ -680,7 +617,7 @@ let run_memcached ?(output = default_output) ?(fast_path = true) ?hits ~kind
 
 let fig5_targets = [ 100e3; 250e3; 500e3; 750e3; 1000e3; 1250e3; 1500e3; 1800e3; 2000e3 ]
 
-let fig5 ?(output = default_output) ?(jobs = default_jobs ())
+let fig5 ?(output = default_output) ?(jobs = 1)
     ?(targets = fig5_targets)
     ?(profiles = [ Workloads.Size_dist.etc; Workloads.Size_dist.usr ]) () =
   let jobs = resolve_jobs ~output jobs in
@@ -735,7 +672,7 @@ let fig5 ?(output = default_output) ?(jobs = default_jobs ())
     rows;
   points
 
-let table2 ?(output = default_output) ?(jobs = default_jobs ()) fig5_points =
+let table2 ?(output = default_output) ?(jobs = 1) fig5_points =
   let jobs = resolve_jobs ~output jobs in
   let sla = 500. in
   let best workload system =
@@ -786,7 +723,7 @@ let table2 ?(output = default_output) ?(jobs = default_jobs ()) fig5_points =
     ~headers:[ "configuration"; "min latency p99 us"; "RPS for SLA" ]
     rows
 
-let fig6 ?(output = default_output) ?(jobs = default_jobs ()) () =
+let fig6 ?(output = default_output) ?(jobs = 1) () =
   let jobs = resolve_jobs ~output jobs in
   let bounds = [ 1; 2; 8; 16; 64 ] in
   let profile = Workloads.Size_dist.usr in
@@ -833,7 +770,10 @@ let batch_sweep_configs =
     ("adaptive 1..64", 8, Ix_core.Batch.Adaptive { floor = 1; ceiling = 64 });
   ]
 
-let batch_sweep ?(output = default_output) ?(jobs = default_jobs ()) () =
+(* Each point carries the host's aggregate batch telemetry — (mean
+   admitted batch, mean TX burst, largest bound in effect) — read from
+   the dataplanes' batchers after the measurement window. *)
+let batch_sweep ?(output = default_output) ?(jobs = 1) () =
   let jobs = resolve_jobs ~output jobs in
   let points =
     par_map ~jobs
@@ -927,7 +867,7 @@ let run_incast ~senders ~block ~config ~ecn =
   let goodput, _, _ = run_incast_stats ~senders ~block ~config ~ecn in
   goodput
 
-let incast ?(jobs = default_jobs ()) () =
+let incast ?(jobs = 1) () =
   let block = 256 * 1024 in
   let coarse =
     { Ix_core.Ix_host.ix_tcp_config with Ixtcp.Tcb.min_rto_ns = 200_000_000 }
@@ -986,7 +926,7 @@ let incast ?(jobs = default_jobs ()) () =
 let active_w_per_core = 25.5
 let idle_w_per_core = 8.0
 
-let energy ?(output = default_output) ?(jobs = default_jobs ()) () =
+let energy ?(output = default_output) ?(jobs = 1) () =
   let jobs = resolve_jobs ~output jobs in
   let point ~polling ~sessions =
     run_echo ~output
@@ -1191,7 +1131,7 @@ let elastic_scaling ?(output = default_output) ?(seed = 42) () =
 (* ------------------------------------------------------------------ *)
 (* Ablations                                                           *)
 
-let ablations ?(output = default_output) ?(jobs = default_jobs ()) () =
+let ablations ?(output = default_output) ?(jobs = 1) () =
   let jobs = resolve_jobs ~output jobs in
   (* Each configuration runs twice: fully loaded (throughput, loaded
      p99) and nearly unloaded (path latency). *)
@@ -1240,7 +1180,7 @@ let ablations ?(output = default_output) ?(jobs = default_jobs ()) () =
     rows
 
 (* ------------------------------------------------------------------ *)
-(* Perf regression slices (bench/main.exe perf)                        *)
+(* Perf regression slices (ixsim perf)                                 *)
 
 (* Fixed-seed single points of the heaviest experiments, instrumented
    with the engine's global event meter.  The snapshot string captures
@@ -1256,7 +1196,7 @@ type perf_slice = {
 }
 
 (* [perf_events] is a delta of the engine-wide event meter, so it is
-   only meaningful when nothing else simulates concurrently; the bench
+   only meaningful when nothing else simulates concurrently; the perf
    harness meters slices sequentially and reuses those counts when it
    re-runs the same slices on a domain pool (where only the snapshots
    are compared). *)
@@ -1289,20 +1229,20 @@ let perf_fig2_slice ?(fast_path = true) ?(sizes = [ 1_024; 16_384; 65_536 ]) ()
                p.gbps)
            sizes))
 
-let perf_fig4_slice ?(fast_path = true) ?(conns = 10_000) () =
+let perf_fig4_slice ?(conns = 10_000) () =
   let fh = ref 0 and sh = ref 0 in
   metered ~hits:(fh, sh) "fig4" (fun () ->
       let rate =
-        run_connection_scaling ~fast_path ~hits:(fh, sh) ~kind:Cluster.Ix
-          ~conns ~workers:384 ()
+        run_connection_scaling ~hits:(fh, sh) ~kind:Cluster.Ix ~conns
+          ~workers:384 ()
       in
       Printf.sprintf "msgs_per_sec=%.17g" rate)
 
-let perf_fig5_slice ?(fast_path = true) ?(target_krps = 500.) () =
+let perf_fig5_slice ?(target_krps = 500.) () =
   let fh = ref 0 and sh = ref 0 in
   metered ~hits:(fh, sh) "fig5" (fun () ->
       let r, kshare =
-        run_memcached ~fast_path ~hits:(fh, sh) ~kind:Cluster.Ix
+        run_memcached ~hits:(fh, sh) ~kind:Cluster.Ix
           ~server_threads:6 ~profile:Workloads.Size_dist.usr
           ~target_rps:(target_krps *. 1e3) ()
       in
@@ -1319,15 +1259,16 @@ let perf_fig5_slice ?(fast_path = true) ?(target_krps = 500.) () =
    the decode scratch is per-endpoint and never contended.)  Eight
    messages per connection keeps the handshake share under ~1/4 and
    makes the ratio track actual steady-state delivery; the figure
-   sweeps keep n=1, faithful to the paper's connection-churn plot. *)
-let perf_fig3a_slice ?(fast_path = true) () =
+   sweeps keep n=1, faithful to the paper's connection-churn plot.
+   The slice keeps the name "fig3a-sim" that BENCH_PERF.json pins. *)
+let perf_fig3a_slice () =
   let fh = ref 0 and sh = ref 0 in
   metered ~hits:(fh, sh) "fig3a-sim" (fun () ->
       String.concat " "
         (List.map
            (fun cores ->
              let p =
-               run_echo ~fast_path ~hits:(fh, sh) ~label:"IX-10G"
+               run_echo ~hits:(fh, sh) ~label:"IX-10G"
                  ~client_hosts:4 ~client_threads:8 ~sessions:256
                  ~kind:Cluster.Ix ~ports:1 ~cores ~msg_size:64
                  ~msgs_per_conn:8 ()
@@ -1342,11 +1283,8 @@ let perf_fig3a_slice ?(fast_path = true) () =
    the unit of work this slice prices.  The snapshot reuses the
    workload's own deterministic counter string (no memory or wall
    numbers — those go through the separate gate path). *)
-let perf_conn_scale_slice ?(fast_path = true) ?(conns = 20_000)
-    ?(events = 40_000) () =
-  let r =
-    Workloads.Conn_scale.run ~fast_path ~syn_cookies:true ~conns ~events ()
-  in
+let perf_conn_scale_slice ?(conns = 20_000) ?(events = 40_000) () =
+  let r = Workloads.Conn_scale.run ~syn_cookies:true ~conns ~events () in
   {
     perf_name = "conn-scale";
     perf_events = r.Workloads.Conn_scale.r_client_segs;
@@ -1415,8 +1353,8 @@ let perf_migration_slice ?(fast_path = true) () =
    deterministic next_batch call stream, so these values must
    reproduce bit-for-bit, and the adaptive row's [bound] pins that the
    controller actually moved. *)
-let perf_batch_sweep_slice ?(fast_path = true) ?(client_hosts = 4)
-    ?(client_threads = 8) ?(sessions = 256) () =
+let perf_batch_sweep_slice ?(client_hosts = 4) ?(client_threads = 8)
+    ?(sessions = 256) () =
   let fh = ref 0 and sh = ref 0 in
   metered ~hits:(fh, sh) "batch-sweep" (fun () ->
       String.concat " "
@@ -1424,7 +1362,7 @@ let perf_batch_sweep_slice ?(fast_path = true) ?(client_hosts = 4)
            (fun (key, bound, mode) ->
              let stats = ref (0., 0., 0) in
              let p =
-               run_echo ~fast_path ~hits:(fh, sh) ~label:key ~client_hosts
+               run_echo ~hits:(fh, sh) ~label:key ~client_hosts
                  ~client_threads ~sessions ~kind:Cluster.Ix ~ports:1 ~cores:2
                  ~msg_size:64 ~msgs_per_conn:8 ~batch_bound:bound
                  ~batch_mode:mode ~batch_stats:stats ()
@@ -1441,31 +1379,48 @@ let perf_batch_sweep_slice ?(fast_path = true) ?(client_hosts = 4)
            ]))
 
 (* ------------------------------------------------------------------ *)
-(* Chaos soak (robustness): ixsim chaos / bench chaos leg              *)
+(* Chaos soak (robustness): ixsim chaos                                *)
 
 (* Legs are self-contained simulations, so they fan over the same
    domain pool as the figure sweeps; a leg's snapshot is bit-identical
    at any [jobs] width, which test_faults asserts. *)
-let chaos ?(jobs = default_jobs ()) ?(seed = 42)
+let chaos ?(jobs = 1) ?(seed = 42)
     ?(spec = Ix_faults.Fault_plan.default) ?(soak_ms = 8) ?(echo_legs = 3)
     ?(quiet = false) () =
   Chaos.run ~jobs ~seed ~spec ~soak_ms ~echo_legs ~quiet ()
 
-let run_all ?(output = default_output) ?(jobs = default_jobs ()) () =
-  ignore (fig2 ~jobs ());
-  ignore (fig3a ~output ~jobs ());
-  ignore (fig3a_sim ~output ~jobs ());
-  ignore (fig3b ~output ~jobs ());
-  ignore (fig3c ~output ~jobs ());
-  ignore (fig4 ~jobs ());
-  let f5 = fig5 ~output ~jobs () in
-  ignore (fig6 ~output ~jobs ());
-  ignore (batch_sweep ~output ~jobs ());
-  table2 ~output ~jobs f5;
-  ablations ~output ~jobs ();
-  incast ~jobs ();
-  energy ~output ~jobs ();
-  ignore (elastic_scaling ~output ())
+(* ------------------------------------------------------------------ *)
+(* The figure table: every sweep [ixsim fig] can regenerate            *)
 
+(* One [ixsim fig] invocation's settings.  fig5 and table2 share one
+   fig5 sweep, so a run of the whole table pays for it once. *)
+type context = {
+  output : output;
+  jobs : int;
+  fig5_points : memcached_point list Lazy.t;
+}
 
-(* TEMPORARY instrumentation - removed before commit *)
+let context ?(output = default_output) ?(jobs = 1) () =
+  { output; jobs; fig5_points = lazy (fig5 ~output ~jobs ()) }
+
+let figures =
+  [
+    ("fig2", fun c -> ignore (fig2 ~jobs:c.jobs ()));
+    ("fig3a", fun c -> ignore (fig3a ~output:c.output ~jobs:c.jobs ()));
+    ("fig3b", fun c -> ignore (fig3b ~output:c.output ~jobs:c.jobs ()));
+    ("fig3c", fun c -> ignore (fig3c ~output:c.output ~jobs:c.jobs ()));
+    ("fig4", fun c -> ignore (fig4 ~jobs:c.jobs ()));
+    ("fig5", fun c -> ignore (Lazy.force c.fig5_points));
+    ("fig6", fun c -> ignore (fig6 ~output:c.output ~jobs:c.jobs ()));
+    ("batch-sweep", fun c -> ignore (batch_sweep ~output:c.output ~jobs:c.jobs ()));
+    ( "table2",
+      fun c -> table2 ~output:c.output ~jobs:c.jobs (Lazy.force c.fig5_points) );
+    ("ablations", fun c -> ablations ~output:c.output ~jobs:c.jobs ());
+    ("incast", fun c -> incast ~jobs:c.jobs ());
+    ("energy", fun c -> energy ~output:c.output ~jobs:c.jobs ());
+    ("elastic", fun c -> ignore (elastic_scaling ~output:c.output ()));
+  ]
+
+let run_all ?output ?jobs () =
+  let c = context ?output ?jobs () in
+  List.iter (fun (_, run) -> run c) figures

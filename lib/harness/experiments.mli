@@ -47,17 +47,12 @@ type output = { metrics : bool; trace : string option }
     [trace_event] JSON to [path] (load via chrome://tracing or
     Perfetto). *)
 
-val default_output : output
-(** [{ metrics = false; trace = None }]. *)
-
-val default_jobs : unit -> int
-(** Worker-domain count from the [IX_BENCH_JOBS] environment variable
-    (default 1 = sequential); the CLIs' [--jobs] flag overrides it.
-    Sweep runners fan their independent simulations over this many
-    domains via {!Engine.Domain_pool}; results are collected in
-    submission order, and a parallel run is bit-identical to [jobs=1]
-    with the same seeds.  Requesting telemetry output forces a runner
-    back to the sequential path so tables don't interleave. *)
+(** Parallelism: sweep runners take [?jobs] (default 1 = sequential;
+    the CLI's [--jobs] flag) and fan their independent simulations over
+    that many domains via {!Engine.Domain_pool}; results are collected
+    in submission order, and a parallel run is bit-identical to
+    [jobs=1] with the same seeds.  Requesting telemetry output forces a
+    runner back to the sequential path so tables don't interleave. *)
 
 val echo_breakdown :
   ?output:output ->
@@ -84,7 +79,6 @@ val run_echo :
   ?batch_bound:int ->
   ?batch_mode:Ix_core.Batch.mode ->
   ?batch_stats:(float * float * int) ref ->
-  ?fast_path:bool ->
   ?hits:int ref * int ref ->
   ?elastic:bool ->
   kind:Cluster.kind ->
@@ -97,12 +91,9 @@ val run_echo :
 (** One echo measurement on a fresh cluster (the primitive behind the
     Fig. 3 sweeps, also exposed for the CLI).
 
-    All runners take [?fast_path] (default [true]): [false] disables
-    the TCP header-prediction receive fast path on every stack in the
-    cluster — the [--fast-path=off] escape hatch, which must not change
-    any result.  [?hits] is a [(fast, slow)] pair of accumulators the
-    runner adds the cluster-wide [fast_path_hits]/[slow_path_hits]
-    counters into after its measurement window.
+    [?hits] is a [(fast, slow)] pair of accumulators the runner adds
+    the cluster-wide [fast_path_hits]/[slow_path_hits] counters into
+    after its measurement window.
 
     [?elastic] (default [false], IX only): [cores] becomes provisioned
     capacity and the {!Ix_core.Elastic} policy loop scales the live
@@ -116,10 +107,13 @@ val netpipe_once :
   size:int ->
   unit ->
   netpipe_point
+(** One NetPIPE ping-pong point.  [?fast_path] (default [true]):
+    [false] disables the TCP header-prediction receive fast path on
+    every stack in the cluster — the reference path, which must not
+    change any result. *)
 
 val run_memcached :
   ?output:output ->
-  ?fast_path:bool ->
   ?hits:int ref * int ref ->
   kind:Cluster.kind ->
   server_threads:int ->
@@ -137,14 +131,11 @@ val fig2 : ?jobs:int -> ?sizes:int list -> unit -> netpipe_point list
     slice). *)
 
 val fig3a : ?output:output -> ?jobs:int -> unit -> echo_point list
-(** Multi-core scalability, 64 B echo, n=1 connection per message. *)
-
-val fig3a_sim : ?output:output -> ?jobs:int -> unit -> echo_point list
-(** The sharded-sim reading of Fig. 3a, IX only: each point is one
+(** Multi-core scalability, 64 B echo, n=1 connection per message, with
+    a speedup-vs-1-core column per system.  Each IX point is one
     simulated host running N per-core dataplanes behind the NIC's RSS
-    indirection table, with an explicit speedup-vs-1-core column
-    (near-linear scaling is the acceptance shape; test_elastic asserts
-    it on a reduced sweep). *)
+    indirection table (near-linear scaling is the acceptance shape;
+    test_elastic asserts it on a reduced sweep). *)
 
 val fig3b : ?output:output -> ?jobs:int -> unit -> echo_point list
 (** Round trips per connection (n sweep) at 8 cores. *)
@@ -153,7 +144,6 @@ val fig3c : ?output:output -> ?jobs:int -> unit -> echo_point list
 (** Message-size sweep (n=1) at 8 cores. *)
 
 val run_connection_scaling :
-  ?fast_path:bool ->
   ?hits:int ref * int ref ->
   kind:Cluster.kind ->
   conns:int ->
@@ -180,18 +170,6 @@ val fig5 :
 val fig6 : ?output:output -> ?jobs:int -> unit -> (int * float * float) list
 (** Batch bound B sweep on USR: (B, achieved kRPS at high load,
     low-load p99 µs). *)
-
-val batch_sweep :
-  ?output:output ->
-  ?jobs:int ->
-  unit ->
-  (string * echo_point * (float * float * int)) list
-(** Fixed batch bounds (B=1/8/64) against the adaptive controller on
-    the 64 B echo workload.  Each point carries the host's aggregate
-    batch telemetry — (mean admitted batch, mean TX burst, largest
-    bound in effect) — read from the dataplanes' batchers after the
-    measurement window; the adaptive row starts at B=8 so the table
-    shows the controller climbing under load. *)
 
 val table2 : ?output:output -> ?jobs:int -> memcached_point list -> unit
 (** Derive Table 2 (unloaded p99 latency; max RPS under the 500 µs p99
@@ -258,33 +236,32 @@ type perf_slice = {
   perf_fast_hits : int;  (** header-prediction fast-path deliveries *)
   perf_slow_hits : int;  (** segments that took the full TCP input path *)
 }
-(** One fixed-seed perf-regression run (the [perf] subcommand of
-    [bench/main.exe]).  [perf_snapshot] is deterministic: the same seed
+(** One fixed-seed perf-regression run (the [ixsim perf]
+    subcommand).  [perf_snapshot] is deterministic: the same seed
     must reproduce it bit-for-bit across runs and engine versions, so
     BENCH_PERF.json tracks pure engine speed.  The hit counters live
     beside the snapshot, never inside it: a [~fast_path:false] run of
-    the same slice must produce a bit-identical snapshot (header
-    prediction is a pure optimization). *)
+    a slice that takes [?fast_path] must produce a bit-identical
+    snapshot (header prediction is a pure optimization). *)
 
 val perf_fig2_slice : ?fast_path:bool -> ?sizes:int list -> unit -> perf_slice
 (** An IX NetPIPE ping-pong sweep over [sizes] (Fig. 2 slice). *)
 
-val perf_fig4_slice : ?fast_path:bool -> ?conns:int -> unit -> perf_slice
+val perf_fig4_slice : ?conns:int -> unit -> perf_slice
 (** Connection scalability at [conns] live connections (Fig. 4 slice);
     the cancellation-heavy engine workload. *)
 
-val perf_fig5_slice : ?fast_path:bool -> ?target_krps:float -> unit -> perf_slice
+val perf_fig5_slice : ?target_krps:float -> unit -> perf_slice
 (** One memcached USR load point on IX (Fig. 5 slice). *)
 
-val perf_fig3a_slice : ?fast_path:bool -> unit -> perf_slice
+val perf_fig3a_slice : unit -> perf_slice
 (** IX 64 B echo at 1/2/4 cores on the sharded sim (Fig. 3a slice):
     pins the multi-core throughput curve per core count.  Runs 8
     messages per connection (the figure sweeps use 1) so the slice's
     fast-path ratio reflects steady-state delivery rather than
     handshake segments. *)
 
-val perf_conn_scale_slice :
-  ?fast_path:bool -> ?conns:int -> ?events:int -> unit -> perf_slice
+val perf_conn_scale_slice : ?conns:int -> ?events:int -> unit -> perf_slice
 (** Connection-churn slice of [Workloads.Conn_scale]: [conns]
     SYN-cookie connections established then churned for [events]
     Zipf-hot events with TIME_WAIT recycling.  [perf_events] counts
@@ -293,13 +270,12 @@ val perf_conn_scale_slice :
     string. *)
 
 val perf_batch_sweep_slice :
-  ?fast_path:bool ->
   ?client_hosts:int ->
   ?client_threads:int ->
   ?sessions:int ->
   unit ->
   perf_slice
-(** One echo point per {!batch_sweep} config (fixed B=1/B=64 and the
+(** One echo point per batch-sweep figure config (fixed B=1/B=64 and the
     adaptive controller), batch telemetry included in the snapshot:
     the controller is driven purely by the deterministic next_batch
     call stream, so mean batch, mean TX burst and the bound in effect
@@ -323,6 +299,17 @@ val chaos :
 (** The chaos soak (see {!Chaos}): echo + memcached legs under a
     deterministic fault plan, each ending in an invariant audit.
     Raises [Failure] if any audit fails.  The [ixsim chaos] subcommand
-    and the bench harness's [chaos] target call this. *)
+    calls this. *)
+
+type context
+(** One run's settings ([?output], [?jobs]) plus the fig5 sweep that
+    the fig5 and table2 entries share. *)
+
+val context : ?output:output -> ?jobs:int -> unit -> context
+
+val figures : (string * (context -> unit)) list
+(** The figure table: every sweep [ixsim fig] regenerates, by name, in
+    the order {!run_all} runs them. *)
 
 val run_all : ?output:output -> ?jobs:int -> unit -> unit
+(** Run every entry of {!figures} on one {!context}, so fig5 runs once. *)

@@ -1,5 +1,3 @@
-let f1 v = Printf.sprintf "%.1f" v
-let f2 v = Printf.sprintf "%.2f" v
 let mps v = Printf.sprintf "%.2fM" (v /. 1e6)
 let kps v = Printf.sprintf "%.0fK" (v /. 1e3)
 let gbps v = Printf.sprintf "%.2f" v
@@ -36,15 +34,14 @@ let gc_mark () =
     events = Engine.Sim.global_events ();
   }
 
-let print_gc_since ?name m0 =
+let print_gc_since m0 =
   let m1 = gc_mark () in
   let events = m1.events - m0.events in
   let per_m x = if events = 0 then 0. else x /. (float_of_int events /. 1e6) in
   let words_m = (m1.words -. m0.words) /. 1e6 in
   let minor = m1.minor_gcs - m0.minor_gcs in
   Printf.printf
-    "[%sgc: %.2fM minor words (%.2fM/Mevent), %d minor collections (%.0f/Mevent), %d major \
+    "[gc: %.2fM minor words (%.2fM/Mevent), %d minor collections (%.0f/Mevent), %d major \
      collections, %d events]\n%!"
-    (match name with Some n -> n ^ " " | None -> "")
     words_m (per_m words_m) minor (per_m (float_of_int minor))
     (m1.major_gcs - m0.major_gcs) events

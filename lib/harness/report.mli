@@ -5,11 +5,6 @@ val table :
   ?out:Format.formatter -> title:string -> headers:string list -> string list list -> unit
 (** Print a titled, column-aligned table. *)
 
-val f1 : float -> string
-(** One decimal place. *)
-
-val f2 : float -> string
-
 val mps : float -> string
 (** Messages/second, in millions ("3.81M"). *)
 
@@ -20,7 +15,7 @@ val gbps : float -> string
 val us : float -> string
 val pct : float -> string
 
-(** {1 GC reporting ([--gc] on ixsim and bench)} *)
+(** {1 GC reporting ([--gc] on ixsim)} *)
 
 type gc_mark
 (** Allocation and collection counters, and simulated events, at an
@@ -28,7 +23,7 @@ type gc_mark
 
 val gc_mark : unit -> gc_mark
 
-val print_gc_since : ?name:string -> gc_mark -> unit
+val print_gc_since : gc_mark -> unit
 (** Print one line: minor words allocated by this domain and minor
     collections since the mark, each also per million simulated events,
     plus major collections and the event count. *)

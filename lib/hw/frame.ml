@@ -41,7 +41,6 @@ let borrow_mbuf mbuf =
 
 let retain t = match t.owner with Some m -> Mbuf.incref m | None -> ()
 let release t = match t.owner with Some m -> Mbuf.decref m | None -> ()
-let is_borrowed t = Option.is_some t.owner
 
 let length t = t.len
 

@@ -16,13 +16,9 @@ type lut
     across domains.  Whoever hashes owns its LUT (each {!Nic} keeps
     the one for its RSS key) — there is no process-global cache. *)
 
-val default_lut : lut
-(** The table for {!default_key}, built once at module initialisation
-    and shared. *)
-
 val lut_of_key : string -> lut
 (** Build the table for an arbitrary 40-byte key ([default_key] maps
-    to {!default_lut} without rebuilding). *)
+    to the prebuilt default table without rebuilding). *)
 
 val hash_tuple :
   ?lut:lut ->
@@ -33,7 +29,7 @@ val hash_tuple :
   unit ->
   int
 (** 32-bit Toeplitz hash of the TCPv4 12-byte input under [lut]
-    (default {!default_lut}). *)
+    (default: the table for [default_key]). *)
 
 val hash : ?key:string -> string -> int
 (** Toeplitz hash of an arbitrary input string. *)

@@ -63,6 +63,3 @@ val adjust : t -> int -> unit
 
 val payload : t -> string
 (** Copy of the current payload (test/debug convenience). *)
-
-val blit_payload : t -> Bytes.t -> int -> unit
-(** Copy payload into a destination buffer. *)

@@ -90,7 +90,6 @@ let rec alloc t =
     None
   end
 
-let free_count t = t.free_top
 let live_count t = t.live
 let capacity t = t.max_objects
 let stat_allocs t = t.allocs

@@ -18,9 +18,6 @@ val alloc : t -> Mbuf.t option
     needed.  [None] once [capacity] objects are live (pool exhausted) —
     callers treat this as packet drop, as real NIC replenishment does. *)
 
-val free_count : t -> int
-(** Objects currently sitting in the free list. *)
-
 val live_count : t -> int
 (** Objects currently allocated out of the pool. *)
 

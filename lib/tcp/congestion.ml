@@ -48,10 +48,6 @@ let on_ack t ~acked_bytes ~flight =
     end
   end
 
-let on_dup_ack t =
-  (* Window inflation while the missing segment is outstanding. *)
-  if t.recovery then t.cwnd_bytes <- min max_window (t.cwnd_bytes + t.mss)
-
 let on_fast_retransmit t ~flight =
   t.ssthresh_bytes <- max (2 * t.mss) (flight / 2);
   t.cwnd_bytes <- t.ssthresh_bytes + (dup_ack_threshold * t.mss);

@@ -20,9 +20,6 @@ val on_ack : t -> acked_bytes:int -> flight:int -> unit
 (** A new ACK advanced snd_una by [acked_bytes] with [flight] bytes
     still outstanding. *)
 
-val on_dup_ack : t -> unit
-(** A duplicate ACK arrived (window inflation during recovery). *)
-
 val on_fast_retransmit : t -> flight:int -> unit
 (** Third duplicate ACK: halve the window and enter recovery. *)
 

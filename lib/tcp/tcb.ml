@@ -68,7 +68,7 @@ type config = {
       (** header-prediction receive fast path (Van Jacobson gate); a
           pure optimisation — behaviour is bit-identical either way.
           [false] forces every segment through the full state machine
-          (the [--fast-path=off] A/B escape hatch). *)
+          (the reference path the fast-path tests compare against). *)
   syn_cookies : bool;
       (** listen path answers SYNs statelessly: the SYN-ACK's ISS
           encodes a keyed hash of the 4-tuple plus the peer's MSS

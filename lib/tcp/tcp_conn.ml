@@ -844,7 +844,7 @@ let input ?(ce = false) tcb (seg : Seg.t) mbuf =
    random segment streams.
 
    Gate conditions (all must hold):
-   - [cfg.fast_path] enabled (the [--fast-path=off] escape hatch);
+   - [cfg.fast_path] enabled (off is the reference path);
    - state = ESTABLISHED;
    - ACK set; SYN/FIN/RST clear; ECE/CWR clear and DCTCP off (ECN
      feedback takes the slow path);

@@ -91,10 +91,6 @@ val syn_cookies_rejected : t -> int
 (** Flow-miss ACKs on a listening port whose cookie failed to verify
     (answered with RST). *)
 
-val port_exhausted : t -> int
-(** Active opens that found no suitable ephemeral port; [connect]
-    returns [None] rather than raising. *)
-
 val time_wait_count : t -> int
 (** Live TIME_WAIT remnants ([config.tw_recycle]); these are compact
     table rows, not TCBs. *)
@@ -123,10 +119,6 @@ val tw_rst_dropped : t -> int
 
 val dsack_sent : t -> int
 (** ACKs that carried a D-SACK duplicate report (RFC 2883). *)
-
-val dsack_dupacks_ignored : t -> int
-(** Dup-ACKs whose D-SACK block showed a duplicate delivery rather
-    than loss — excluded from the fast-retransmit count. *)
 
 val port_double_frees : t -> int
 (** {!Port_alloc.double_frees} of this endpoint's allocator; any

@@ -184,10 +184,8 @@ let pump t =
 (* ------------------------------------------------------------------ *)
 (* Driver construction                                                 *)
 
-let make ~conns ~syn_cookies ~fast_path ~seed =
-  let config =
-    { Tcb.default_config with Tcb.syn_cookies; tw_recycle = true; fast_path }
-  in
+let make ~conns ~syn_cookies ~seed =
+  let config = { Tcb.default_config with Tcb.syn_cookies; tw_recycle = true } in
   let now = ref 0 in
   let wheel = Wheel.create ~now:0 () in
   let pool = Mempool.create ~capacity:32_768 ~name:"conn-scale" () in
@@ -366,9 +364,9 @@ let snapshot_of t =
     (Tcp_endpoint.slow_path_hits t.ep)
     ws.Wheel.scheduled ws.Wheel.fired ws.Wheel.cancelled
 
-let run ?(syn_cookies = true) ?(fast_path = true) ?(conns = 100_000)
+let run ?(syn_cookies = true) ?(conns = 100_000)
     ?(events = 50_000) ?(churn_every = 16) ?(seed = 42) () =
-  let t = make ~conns ~syn_cookies ~fast_path ~seed in
+  let t = make ~conns ~syn_cookies ~seed in
   (* Baseline after the driver's own arrays exist, so the resident
      measurement isolates the stack's per-connection cost. *)
   let live0 = live_words () in
@@ -452,7 +450,7 @@ type flood = {
 }
 
 let syn_flood ?(syns = 100_000) ?(seed = 42) () =
-  let t = make ~conns:1 ~syn_cookies:true ~fast_path:true ~seed in
+  let t = make ~conns:1 ~syn_cookies:true ~seed in
   let store = (Tcp_endpoint.env t.ep).Tcb.store in
   let live0 = Tcb.store_live store in
   let m0 = Gc.minor_words () in

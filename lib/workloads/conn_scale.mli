@@ -42,7 +42,6 @@ type result = {
 
 val run :
   ?syn_cookies:bool ->
-  ?fast_path:bool ->
   ?conns:int ->
   ?events:int ->
   ?churn_every:int ->

@@ -38,7 +38,7 @@ let test_fig5 () =
   bit_identical "fig5" seq par
 
 let test_perf_slices () =
-  (* The bench perf harness's own invariant, in miniature: the metric
+  (* The perf harness's own invariant, in miniature: the metric
      snapshots of the perf slices must not depend on whether the slices
      run sequentially or concurrently on separate domains. *)
   let slices =

@@ -124,7 +124,7 @@ let prop_spec_roundtrip =
 (* ---------------- Determinism with faults armed ---------------- *)
 
 (* Short soaks: these tests are about byte equality and audit outcomes,
-   not soak coverage (bench/main.exe chaos runs the long soak). *)
+   not soak coverage (`ixsim chaos --soak-ms 20` runs a long soak). *)
 
 let test_echo_leg_deterministic () =
   let a = Chaos.echo_leg ~seed:5 ~soak_ms:3 () in

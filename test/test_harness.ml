@@ -1,5 +1,5 @@
-(* Tests for the experiment harness: report formatting and testbed
-   construction invariants. *)
+(* Tests for the experiment harness: report formatting, testbed
+   construction invariants and the figure table. *)
 
 module Cluster = Harness.Cluster
 
@@ -90,6 +90,21 @@ let test_deterministic_runs () =
   let a = run () and b = run () in
   check_bool "bit-identical outcome" true (a = b)
 
+(* ---------------- Figure table ---------------- *)
+
+(* [Experiments.figures] is the one list [ixsim fig] and [run_all]
+   dispatch from: every experiment of DESIGN.md §3 (paper §5) and §3b
+   (extensions) must be in it, each name once. *)
+let test_figure_table () =
+  let names = List.map fst Harness.Experiments.figures in
+  check_int "names are unique"
+    (List.length names)
+    (List.length (List.sort_uniq compare names));
+  List.iter
+    (fun name -> check_bool name true (List.mem name names))
+    [ "fig2"; "fig3a"; "fig3b"; "fig3c"; "fig4"; "fig5"; "fig6"; "table2";
+      "incast"; "energy"; "ablations" ]
+
 let () =
   Alcotest.run "harness"
     [
@@ -105,4 +120,6 @@ let () =
           Alcotest.test_case "mtcp bonding rejected" `Quick test_mtcp_rejects_bonding;
           Alcotest.test_case "determinism" `Quick test_deterministic_runs;
         ] );
+      ( "experiments",
+        [ Alcotest.test_case "figure table" `Quick test_figure_table ] );
     ]
