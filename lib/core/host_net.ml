@@ -25,6 +25,10 @@ type t = {
 
 let create ~arp ~pool ~mac ~local_ip ~emit ~metrics ~prefix =
   let c name = Metrics.counter metrics (prefix ^ "." ^ name) in
+  Metrics.probe metrics (prefix ^ ".pool.live") (fun () ->
+      float_of_int (Mempool.live_count pool));
+  Metrics.probe metrics (prefix ^ ".pool.provisioned") (fun () ->
+      float_of_int (Mempool.provisioned pool));
   {
     arp;
     pool;

@@ -18,10 +18,12 @@ val create :
   metrics:Ixtelemetry.Metrics.t ->
   prefix:string ->
   t
-(** [pool] supplies ARP frames; [mac] is the transmitting NIC's
-    address.  Registers [<prefix>.rx_csum_drops], [<prefix>.rx_other]
-    and [<prefix>.arp_drops] (datagrams dropped because 8 already wait
-    on the same unresolved IP) in [metrics]. *)
+(** [pool] is the thread's TX pool and supplies ARP frames; [mac] is
+    the transmitting NIC's address.  Registers [<prefix>.rx_csum_drops],
+    [<prefix>.rx_other] and [<prefix>.arp_drops] (datagrams dropped
+    because 8 already wait on the same unresolved IP) in [metrics], and
+    the probe gauges [<prefix>.pool.live] and [<prefix>.pool.provisioned]
+    (mbufs handed out, mbufs created so far). *)
 
 val output :
   t -> protocol:Ixnet.Ipv4_packet.protocol -> remote_ip:Ixnet.Ip_addr.t -> Ixmem.Mbuf.t -> bool

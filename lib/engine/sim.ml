@@ -1,25 +1,22 @@
 (* The hot path of the whole simulator: every packet delivery, timer
    and dataplane cycle goes through [at]/[step].
 
-   Event cells are pooled and reused.  The queue itself stores only the
-   unboxed cell index, so a schedule/execute round trip in steady state
-   allocates nothing beyond the caller's closure: the cell comes off a
-   free stack, the heap entry is three flat-array writes, and the
+   Event cells are pooled and reused.  A cell is an index into three
+   parallel arrays (action, cancelled flag, generation), and the queue
+   stores only that index, so a schedule/execute round trip in steady
+   state allocates nothing beyond the caller's closure: the cell comes
+   off a free stack, the heap entry is three flat-array writes, and the
    handle is an immediate int packing (cell index, generation).  The
    generation makes cancellation of an already-fired (hence reused)
-   handle a no-op, as before.
+   handle a no-op.  Growing the pool fills the new arrays with the
+   static [no_action], never a young value, so it never forces a minor
+   collection.
 
    Cancellation is lazy: [cancel] only marks the cell and drops its
    closure.  Dead entries are skipped at pop time, and once more than
    half the heap is dead it is compacted in O(n) — so cancel-heavy TCP
    runs (every retransmit timer that gets answered) stop paying heap
    space and sift depth for tombstones. *)
-
-type cell = {
-  mutable action : unit -> unit;
-  mutable cancelled : bool;
-  mutable gen : int;
-}
 
 type handle = int
 
@@ -32,8 +29,10 @@ type t = {
   queue : int Event_queue.t;
   root_rng : Rng.t;
   mutable executed : int;
-  mutable cells : cell array;
-  mutable cell_count : int; (* cells.(0 .. cell_count-1) are initialized *)
+  mutable actions : (unit -> unit) array;
+  mutable cancelled : bool array;
+  mutable gens : int array;
+  mutable cell_count : int; (* cells 0 .. cell_count-1 have been handed out *)
   mutable free : int array; (* stack of free cell indices *)
   mutable free_top : int;
   mutable dead : int; (* cancelled entries still in the queue *)
@@ -45,7 +44,9 @@ let create ?(seed = 42) () =
     queue = Event_queue.create ();
     root_rng = Rng.create ~seed;
     executed = 0;
-    cells = [||];
+    actions = [||];
+    cancelled = [||];
+    gens = [||];
     cell_count = 0;
     free = [||];
     free_top = 0;
@@ -68,32 +69,33 @@ let push_free t idx =
 (* Recycle a cell: bump the generation so stale handles go inert, drop
    the closure so the GC can reclaim its environment. *)
 let release_cell t idx =
-  let c = t.cells.(idx) in
-  c.action <- no_action;
-  c.cancelled <- false;
-  c.gen <- (c.gen + 1) land gen_mask;
+  t.actions.(idx) <- no_action;
+  t.cancelled.(idx) <- false;
+  t.gens.(idx) <- (t.gens.(idx) + 1) land gen_mask;
   push_free t idx
+
+let grow a capacity' fill =
+  let a' = Array.make capacity' fill in
+  Array.blit a 0 a' 0 (Array.length a);
+  a'
 
 let alloc_cell t action =
   if t.free_top > 0 then begin
     t.free_top <- t.free_top - 1;
     let idx = t.free.(t.free_top) in
-    t.cells.(idx).action <- action;
+    t.actions.(idx) <- action;
     idx
   end
   else begin
-    if t.cell_count = Array.length t.cells then begin
-      let capacity' = if t.cell_count = 0 then 64 else 2 * t.cell_count in
-      let cells' =
-        Array.init capacity' (fun i ->
-            if i < t.cell_count then t.cells.(i)
-            else { action = no_action; cancelled = false; gen = 0 })
-      in
-      t.cells <- cells'
+    if t.cell_count = Array.length t.actions then begin
+      let capacity' = max 64 (2 * t.cell_count) in
+      t.actions <- grow t.actions capacity' no_action;
+      t.cancelled <- grow t.cancelled capacity' false;
+      t.gens <- grow t.gens capacity' 0
     end;
     let idx = t.cell_count in
     t.cell_count <- idx + 1;
-    t.cells.(idx).action <- action;
+    t.actions.(idx) <- action;
     idx
   end
 
@@ -101,7 +103,7 @@ let at t time action =
   assert (time >= t.clock);
   let idx = alloc_cell t action in
   Event_queue.push t.queue ~time idx;
-  (idx lsl gen_bits) lor t.cells.(idx).gen
+  (idx lsl gen_bits) lor t.gens.(idx)
 
 let after t delay action = at t (Sim_time.add t.clock delay) action
 
@@ -109,8 +111,7 @@ let maybe_compact t =
   let len = Event_queue.length t.queue in
   if len >= 128 && 2 * t.dead > len then begin
     Event_queue.compact t.queue ~keep:(fun idx ->
-        let c = t.cells.(idx) in
-        if c.cancelled then begin
+        if t.cancelled.(idx) then begin
           release_cell t idx;
           false
         end
@@ -121,10 +122,9 @@ let maybe_compact t =
 let cancel t handle =
   let idx = handle lsr gen_bits in
   if idx < t.cell_count then begin
-    let c = t.cells.(idx) in
-    if c.gen = handle land gen_mask && not c.cancelled then begin
-      c.cancelled <- true;
-      c.action <- no_action;
+    if t.gens.(idx) = handle land gen_mask && not t.cancelled.(idx) then begin
+      t.cancelled.(idx) <- true;
+      t.actions.(idx) <- no_action;
       t.dead <- t.dead + 1;
       maybe_compact t
     end
@@ -145,15 +145,14 @@ let rec step_unmetered t =
   else begin
     let time = Event_queue.min_time_exn t.queue in
     let idx = Event_queue.pop_min_exn t.queue in
-    let c = t.cells.(idx) in
-    if c.cancelled then begin
+    if t.cancelled.(idx) then begin
       t.dead <- t.dead - 1;
       release_cell t idx;
       step_unmetered t
     end
     else begin
       t.clock <- time;
-      let action = c.action in
+      let action = t.actions.(idx) in
       (* Release before running: the action may schedule (and so reuse
          the cell); the bumped generation keeps old handles inert. *)
       release_cell t idx;

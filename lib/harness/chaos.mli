@@ -35,7 +35,8 @@ type leg = {
   audit_failures : string list;  (** empty iff the audit passed *)
   snapshot : string;
       (** canonical full-precision end state: every metric of every
-          host plus the fault counters — two runs of the same leg with
+          host (except the host-side [*.pool.provisioned] gauges) plus
+          the fault counters — two runs of the same leg with
           the same seed must produce byte-identical strings *)
 }
 

@@ -53,6 +53,14 @@ let create _sim ~mac ~queues ?(ring_size = 512) ?(rss_key = Toeplitz.default_key
   in
   let c fmt = Printf.ksprintf (Metrics.counter registry) fmt in
   let make_queue index =
+    let pool =
+      Mempool.create ~capacity:(4 * ring_size) ~name:(Printf.sprintf "nic-rxq%d" index) ()
+    in
+    let prefix = Printf.sprintf "%s.q%d.pool" name index in
+    Metrics.probe registry (prefix ^ ".live") (fun () ->
+        float_of_int (Mempool.live_count pool));
+    Metrics.probe registry (prefix ^ ".provisioned") (fun () ->
+        float_of_int (Mempool.provisioned pool));
     {
       index;
       ring = [||];
@@ -60,10 +68,7 @@ let create _sim ~mac ~queues ?(ring_size = 512) ?(rss_key = Toeplitz.default_key
       count = 0;
       avail_descs = ring_size;
       ring_size;
-      pool =
-        Mempool.create ~capacity:(4 * ring_size)
-          ~name:(Printf.sprintf "nic-rxq%d" index)
-          ();
+      pool;
       notify = ignore;
       replenish_gate = None;
       deferred_descs = 0;

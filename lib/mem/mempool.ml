@@ -1,18 +1,16 @@
-(* Objects are provisioned in blocks sized to a 2 MB large page, matching
-   the paper's large-page-only allocation policy.  A block of n mbufs is
-   created at once and pushed onto the free stack.
+(* The modelled pool is backed by 2 MB large pages (§4.2); the simulator
+   only materialises each mbuf the first time [alloc] finds the free
+   stack empty, so a pool costs host memory for its working set, not
+   for its capacity.
 
    The free stack is an array of mbufs (top-of-stack index), not a
    list: release/alloc are two array writes, with no cons cell per
    recycled buffer — the per-packet path allocates nothing. *)
 
-let large_page = 2 * 1024 * 1024
-
 type t = {
   pool_name : string;
   mbuf_size : int;
   max_objects : int;
-  block_objects : int;
   mutable provisioned : int;
   mutable free : Mbuf.t array; (* free.(0 .. free_top-1) are idle mbufs *)
   mutable free_top : int;
@@ -23,12 +21,10 @@ type t = {
 }
 
 let create ?(mbuf_size = Mbuf.default_size) ?(capacity = 16384) ~name () =
-  let block_objects = max 1 (large_page / mbuf_size) in
   {
     pool_name = name;
     mbuf_size;
     max_objects = capacity;
-    block_objects;
     provisioned = 0;
     free = [||];
     free_top = 0;
@@ -40,7 +36,7 @@ let create ?(mbuf_size = Mbuf.default_size) ?(capacity = 16384) ~name () =
 
 let push_free t mbuf =
   if t.free_top = Array.length t.free then begin
-    let capacity' = min t.max_objects (max t.block_objects (2 * t.free_top)) in
+    let capacity' = min t.max_objects (max 64 (2 * t.free_top)) in
     let free' = Array.make capacity' mbuf in
     Array.blit t.free 0 free' 0 t.free_top;
     t.free <- free'
@@ -55,17 +51,7 @@ let release t mbuf =
   push_free t mbuf;
   t.live <- t.live - 1
 
-let provision_block t =
-  let remaining = t.max_objects - t.provisioned in
-  let n = min t.block_objects remaining in
-  for _ = 1 to n do
-    let mbuf = Mbuf.create ~size:t.mbuf_size () in
-    mbuf.Mbuf.on_free <- release t;
-    push_free t mbuf
-  done;
-  t.provisioned <- t.provisioned + n
-
-let rec alloc t =
+let alloc t =
   match t.alloc_gate with
   | Some gate when not (gate ()) ->
       (* Injected exhaustion window: behave exactly like a full pool —
@@ -73,6 +59,12 @@ let rec alloc t =
       t.failures <- t.failures + 1;
       None
   | _ ->
+  if t.free_top = 0 && t.provisioned < t.max_objects then begin
+    let mbuf = Mbuf.create ~size:t.mbuf_size () in
+    mbuf.Mbuf.on_free <- release t;
+    push_free t mbuf;
+    t.provisioned <- t.provisioned + 1
+  end;
   if t.free_top > 0 then begin
     t.free_top <- t.free_top - 1;
     let mbuf = t.free.(t.free_top) in
@@ -81,16 +73,13 @@ let rec alloc t =
     Mbuf.reset mbuf;
     Some mbuf
   end
-  else if t.provisioned < t.max_objects then begin
-    provision_block t;
-    alloc t
-  end
   else begin
     t.failures <- t.failures + 1;
     None
   end
 
 let live_count t = t.live
+let provisioned t = t.provisioned
 let capacity t = t.max_objects
 let stat_allocs t = t.allocs
 let stat_failures t = t.failures

@@ -230,6 +230,29 @@ let test_sim_nested_schedule () =
   Sim.run sim;
   check_int "nested event at 10" 10 !result
 
+(* 1024 events grow the cell pool from 64 to 1024 cells.  Every third
+   is cancelled, including handles issued before a growth, and growth
+   must not force a minor collection. *)
+let test_sim_pool_growth () =
+  let sim = Sim.create () in
+  let fired = ref [] in
+  Gc.minor ();
+  let minors = (Gc.quick_stat ()).Gc.minor_collections in
+  let handles = Array.init 1024 (fun i -> Sim.at sim i (fun () -> fired := i :: !fired)) in
+  check_int "no minor collection while scheduling" minors
+    (Gc.quick_stat ()).Gc.minor_collections;
+  Array.iteri (fun i h -> if i mod 3 = 0 then Sim.cancel sim h) handles;
+  Sim.run sim;
+  let expected = List.filter (fun i -> i mod 3 <> 0) (List.init 1024 Fun.id) in
+  Alcotest.(check (list int)) "fired set and order" expected (List.rev !fired);
+  (* Every cell is free now, so the next event reuses one of them; none
+     of the old handles may cancel it. *)
+  let reused = ref false in
+  ignore (Sim.after sim 1 (fun () -> reused := true));
+  Array.iter (Sim.cancel sim) handles;
+  Sim.run sim;
+  check_bool "stale handles stay inert" true !reused
+
 (* ---------------- Rng ---------------- *)
 
 let test_rng_determinism () =
@@ -356,6 +379,7 @@ let () =
           Alcotest.test_case "cancel suppresses event" `Quick test_sim_cancel;
           Alcotest.test_case "run ~until stops at horizon" `Quick test_sim_until;
           Alcotest.test_case "nested scheduling" `Quick test_sim_nested_schedule;
+          Alcotest.test_case "pool growth and stale handles" `Quick test_sim_pool_growth;
           qt prop_sim_cancel_model;
           qt prop_sim_cancel_after_fire_inert;
         ] );

@@ -63,14 +63,16 @@ let test_mempool_alloc_free_cycle () =
   Mbuf.decref m2
 
 let test_mempool_exhaustion () =
-  let pool = Mempool.create ~capacity:4 ~name:"small" () in
-  let taken = List.init 4 (fun _ -> Option.get (Mempool.alloc pool)) in
+  let pool = Mempool.create ~capacity:5 ~name:"small" () in
+  let taken = List.init 5 (fun _ -> Option.get (Mempool.alloc pool)) in
   Alcotest.(check (option unit))
     "exhausted" None
     (Option.map ignore (Mempool.alloc pool));
   check_int "failure recorded" 1 (Mempool.stat_failures pool);
-  List.iter Mbuf.decref taken;
-  check_bool "recovers after frees" true (Option.is_some (Mempool.alloc pool))
+  check_int "never past capacity" 5 (Mempool.provisioned pool);
+  Mbuf.decref (List.hd taken);
+  check_bool "recovers after a free" true (Option.is_some (Mempool.alloc pool));
+  check_int "recovery reuses the freed mbuf" 5 (Mempool.provisioned pool)
 
 let test_mempool_stats () =
   let pool = Mempool.create ~capacity:16 ~name:"s" () in
@@ -79,6 +81,29 @@ let test_mempool_stats () =
   done;
   check_int "allocs counted" 10 (Mempool.stat_allocs pool);
   Alcotest.(check string) "name" "s" (Mempool.name pool)
+
+(* Mbufs are created on first use: a huge pool costs only its working
+   set, and recycled buffers come back before any new one is made. *)
+let test_mempool_first_use () =
+  let pool = Mempool.create ~capacity:65536 ~name:"lazy" () in
+  check_int "nothing before the first alloc" 0 (Mempool.provisioned pool);
+  let take () = Option.get (Mempool.alloc pool) in
+  let held = List.init 3 (fun _ -> take ()) in
+  check_int "three concurrent allocs" 3 (Mempool.provisioned pool);
+  List.iter Mbuf.decref held;
+  let again = List.init 3 (fun _ -> take ()) in
+  check_int "reuse, no new mbufs" 3 (Mempool.provisioned pool);
+  check_int "live" 3 (Mempool.live_count pool);
+  List.iter Mbuf.decref again
+
+let test_mempool_lifo () =
+  let pool = Mempool.create ~capacity:64 ~name:"lifo" () in
+  let a = Option.get (Mempool.alloc pool) in
+  let b = Option.get (Mempool.alloc pool) in
+  Mbuf.decref a;
+  Mbuf.decref b;
+  check_bool "last released comes back first" true (Option.get (Mempool.alloc pool) == b);
+  check_bool "then the one before" true (Option.get (Mempool.alloc pool) == a)
 
 let prop_mempool_no_leak =
   QCheck.Test.make ~name:"mempool conserves objects over random alloc/free" ~count:100
@@ -135,6 +160,8 @@ let () =
           Alcotest.test_case "alloc/free cycle" `Quick test_mempool_alloc_free_cycle;
           Alcotest.test_case "exhaustion & recovery" `Quick test_mempool_exhaustion;
           Alcotest.test_case "statistics" `Quick test_mempool_stats;
+          Alcotest.test_case "mbufs created on first use" `Quick test_mempool_first_use;
+          Alcotest.test_case "LIFO reuse" `Quick test_mempool_lifo;
           qt prop_mempool_no_leak;
         ] );
       ( "iovec",
