@@ -10,8 +10,17 @@ type app_costs = {
 let default_app_costs =
   { base_ns = 2_400; per_value_kb_ns = 300; get_lock_ns = 200; set_lock_ns = 1_600 }
 
+(* String-specialised, so lookups compare keys with [String.equal]
+   instead of polymorphic [compare]. *)
+module Store = Hashtbl.Make (struct
+  type t = string
+
+  let equal = String.equal
+  let hash = Hashtbl.hash
+end)
+
 type t = {
-  table : (string, string) Hashtbl.t;
+  table : string Store.t;
   costs : app_costs;
   now : unit -> int;
   (* The global cache lock, as in memcached 1.4.x: a single serially
@@ -29,8 +38,8 @@ type t = {
   mutable hit_count : int;
 }
 
-let insert t key value = Hashtbl.replace t.table key value
-let items t = Hashtbl.length t.table
+let insert t key value = Store.add t.table key value
+let items t = Store.length t.table
 let gets t = t.get_count
 let sets t = t.set_count
 let hits t = t.hit_count
@@ -64,7 +73,7 @@ let process t stack ~thread (req : Kv_protocol.request) =
   | Kv_protocol.Get ->
       t.get_count <- t.get_count + 1;
       let locked = with_lock t ~hold:t.costs.get_lock_ns in
-      let value = Hashtbl.find_opt t.table req.Kv_protocol.key in
+      let value = Store.find_opt t.table req.Kv_protocol.key in
       let value, status =
         match value with
         | Some v ->
@@ -77,7 +86,7 @@ let process t stack ~thread (req : Kv_protocol.request) =
   | Kv_protocol.Set ->
       t.set_count <- t.set_count + 1;
       let locked = with_lock t ~hold:t.costs.set_lock_ns in
-      Hashtbl.replace t.table req.Kv_protocol.key req.Kv_protocol.value;
+      Store.replace t.table req.Kv_protocol.key req.Kv_protocol.value;
       stack.Net_api.charge_app ~thread
         (t.costs.base_ns + locked + value_cost req.Kv_protocol.value);
       { Kv_protocol.status = Kv_protocol.stored; reqid = req.Kv_protocol.reqid; value = "" }
@@ -85,7 +94,7 @@ let process t stack ~thread (req : Kv_protocol.request) =
 let server stack ~now ~port ?(costs = default_app_costs) () =
   let t =
     {
-      table = Hashtbl.create 65536;
+      table = Store.create 65536;
       costs;
       now;
       win_start = 0;

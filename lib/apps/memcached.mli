@@ -28,7 +28,12 @@ val server :
   t
 
 val insert : t -> string -> string -> unit
-(** Dataset preload (bypasses the wire, used before measurement). *)
+(** Dataset preload (bypasses the wire, used before measurement).  The
+    key must not be in the store yet: [insert] adds without looking for
+    an existing binding, and a second insert of one key would leave a
+    shadowed duplicate that [items] counts.  [Workloads.Keygen.preload]
+    into a fresh store meets this.  The value is stored as given and
+    may be shared with other keys; the store never writes through it. *)
 
 val items : t -> int
 val gets : t -> int

@@ -10,8 +10,8 @@ let to_float_us t = float_of_int t /. 1_000.
 let to_float_s t = float_of_int t /. 1_000_000_000.
 let add = ( + )
 let sub = ( - )
-let max = Stdlib.max
-let min = Stdlib.min
+let max = Int.max
+let min = Int.min
 
 let pp fmt t =
   if t < 1_000 then Format.fprintf fmt "%dns" t

@@ -35,7 +35,7 @@ let deliver_next t =
 let enqueue_pending t frame =
   let cap = Array.length t.pending in
   if t.p_count = cap then begin
-    let cap' = max 16 (2 * cap) in
+    let cap' = Int.max 16 (2 * cap) in
     let pending' = Array.make cap' Frame.empty in
     for k = 0 to t.p_count - 1 do
       pending'.(k) <- t.pending.((t.p_head + k) land (cap - 1))
@@ -77,9 +77,9 @@ let serialize_ns t frame =
 
 let send_at t frame ~earliest =
   let now = Engine.Sim.now t.sim in
-  let reference = max now earliest in
+  let reference = Int.max now earliest in
   (* Backlog ahead of this frame, in bytes at line rate. *)
-  let backlog_ns = max 0 (t.busy - reference) in
+  let backlog_ns = Int.max 0 (t.busy - reference) in
   let backlog_bytes =
     int_of_float (float_of_int backlog_ns *. t.bits_per_ns /. 8.)
   in
@@ -102,7 +102,7 @@ let send_at t frame ~earliest =
           Frame.with_ce frame
       | Some _ | None -> frame
     in
-    let start = max reference t.busy in
+    let start = Int.max reference t.busy in
     let duration = serialize_ns t frame in
     t.busy <- start + duration;
     t.busy_ns <- t.busy_ns + duration;

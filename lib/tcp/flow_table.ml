@@ -38,16 +38,18 @@ let create ~store =
 let key_rem ~remote_ip ~remote_port =
   ((remote_ip land 0xFFFF_FFFF) lsl 16) lor (remote_port land 0xFFFF)
 
+let[@inline] krem_of store slot =
+  key_rem ~remote_ip:(Tcb.slot_remote_ip store slot)
+    ~remote_port:(Tcb.slot_remote_port store slot)
+
 (* Does the connection behind [fh] carry this key?  A handle whose
-   generation has moved on dereferences to [None] and can never match —
+   generation has moved on fails [Tcb.handle_live] and can never match —
    a freed-and-reused store slot is not confused with its predecessor. *)
 let[@inline] fh_matches store fh ~krem ~kloc =
-  match Tcb.deref store fh with
-  | Some c ->
-      Tcb.local_port c = kloc
-      && key_rem ~remote_ip:(Tcb.remote_ip c) ~remote_port:(Tcb.remote_port c)
-         = krem
-  | None -> false
+  Tcb.handle_live store fh
+  &&
+  let slot = fh land Tcb.slot_mask in
+  Tcb.slot_local_port store slot = kloc && krem_of store slot = krem
 
 (* Find the slot holding (krem, kloc), or -1. *)
 let probe t ~krem ~kloc =
@@ -109,16 +111,10 @@ and rehash t capacity' =
   t.used <- 0;
   Array.iter
     (fun fh ->
-      if fh >= 0 then
-        (* Re-derive the key from the store; a stale handle drops out. *)
-        match Tcb.deref t.store fh with
-        | Some c ->
-            insert t
-              ~krem:
-                (key_rem ~remote_ip:(Tcb.remote_ip c)
-                   ~remote_port:(Tcb.remote_port c))
-              ~kloc:(Tcb.local_port c) fh
-        | None -> ())
+      (* Re-derive the key from the store; a stale handle drops out. *)
+      if fh >= 0 && Tcb.handle_live t.store fh then
+        let slot = fh land Tcb.slot_mask in
+        insert t ~krem:(krem_of t.store slot) ~kloc:(Tcb.slot_local_port t.store slot) fh)
     old
 
 let add t ~local_port ~remote_ip ~remote_port tcb =

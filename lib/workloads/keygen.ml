@@ -18,9 +18,21 @@ let key ~profile ~rank =
   Bytes.set buf 12 '-';
   Bytes.unsafe_to_string buf
 
+(* Every key of one value length shares one immutable value string:
+   stores only read values, and a fresh copy per key would put about
+   2 M words per 100 K-item store through the minor and major heaps. *)
 let preload ~insert ~profile ~seed =
   let rng = Engine.Rng.create ~seed in
+  let values = Hashtbl.create 64 in
+  let value_of_len len =
+    match Hashtbl.find_opt values len with
+    | Some v -> v
+    | None ->
+        let v = String.make len 'v' in
+        Hashtbl.add values len v;
+        v
+  in
   for rank = 1 to profile.Size_dist.key_space do
-    let value = String.make (max 1 (profile.Size_dist.value_len rng)) 'v' in
+    let value = value_of_len (max 1 (profile.Size_dist.value_len rng)) in
     insert (key ~profile ~rank) value
   done

@@ -10,4 +10,8 @@ val preload :
   seed:int ->
   unit
 (** Populate a store with the whole key space (values sampled from the
-    profile's value-size distribution). *)
+    profile's value-size distribution).  Each rank is inserted once, and
+    ranks below 10{^8} spell distinct keys (the key holds the rank's
+    eight digits), so [insert] may skip its duplicate check.
+    All values of one length are the same physical string: [insert]
+    must treat values as read-only. *)

@@ -133,8 +133,9 @@ let memcached_fixture ~kind =
   in
   (cluster, mc)
 
-let test_memcached_get_set_over_wire () =
-  let cluster, mc = memcached_fixture ~kind:Cluster.Ix in
+(* Send [requests] on one client connection and run the simulation;
+   returns the server's responses, looked up by reqid. *)
+let kv_exchange cluster requests =
   let client = List.hd cluster.Cluster.clients in
   let responses = ref [] in
   let parser = Kv.Parser.create () in
@@ -142,17 +143,8 @@ let test_memcached_get_set_over_wire () =
     {
       Net_api.on_connected =
         (fun conn ~ok ->
-          if ok then begin
-            ignore
-              (conn.Net_api.send
-                 (Kv.encode_request { Kv.op = Kv.Set; reqid = 1; key = "alpha"; value = "beta" }));
-            ignore
-              (conn.Net_api.send
-                 (Kv.encode_request { Kv.op = Kv.Get; reqid = 2; key = "alpha"; value = "" }));
-            ignore
-              (conn.Net_api.send
-                 (Kv.encode_request { Kv.op = Kv.Get; reqid = 3; key = "missing"; value = "" }))
-          end);
+          if ok then
+            List.iter (fun r -> ignore (conn.Net_api.send (Kv.encode_request r))) requests);
       on_data =
         (fun _ data ->
           Kv.Parser.feed parser data;
@@ -170,8 +162,19 @@ let test_memcached_get_set_over_wire () =
   in
   client.Net_api.connect ~thread:0 ~ip:cluster.Cluster.server_ip ~port:11211 handlers;
   Engine.Sim.run ~until:(Engine.Sim_time.ms 50) cluster.Cluster.sim;
-  let by_id id = List.find (fun r -> r.Kv.reqid = id) !responses in
-  check_int "three responses" 3 (List.length !responses);
+  check_int "every request answered" (List.length requests) (List.length !responses);
+  fun id -> List.find (fun r -> r.Kv.reqid = id) !responses
+
+let test_memcached_get_set_over_wire () =
+  let cluster, mc = memcached_fixture ~kind:Cluster.Ix in
+  let by_id =
+    kv_exchange cluster
+      [
+        { Kv.op = Kv.Set; reqid = 1; key = "alpha"; value = "beta" };
+        { Kv.op = Kv.Get; reqid = 2; key = "alpha"; value = "" };
+        { Kv.op = Kv.Get; reqid = 3; key = "missing"; value = "" };
+      ]
+  in
   check_int "set stored" Kv.stored (by_id 1).Kv.status;
   check_int "get hit" Kv.hit (by_id 2).Kv.status;
   Alcotest.(check string) "value returned" "beta" (by_id 2).Kv.value;
@@ -179,6 +182,54 @@ let test_memcached_get_set_over_wire () =
   check_int "server counted ops" 2 (Apps.Memcached.gets mc);
   check_int "one set" 1 (Apps.Memcached.sets mc);
   check_int "one hit" 1 (Apps.Memcached.hits mc)
+
+(* [Memcached.insert] skips the duplicate scan, which is sound only
+   because preload's keys are pairwise distinct; values are shared per
+   length, which is sound only because the store never writes them. *)
+let test_memcached_preload () =
+  List.iter
+    (fun profile ->
+      let keys = Hashtbl.create 100_000 in
+      for rank = 1 to 100_000 do
+        Hashtbl.replace keys (Workloads.Keygen.key ~profile ~rank) ()
+      done;
+      check_int (profile.Workloads.Size_dist.name ^ " keys distinct") 100_000
+        (Hashtbl.length keys))
+    [ Workloads.Size_dist.etc; Workloads.Size_dist.usr ];
+  let profile = Workloads.Size_dist.etc in
+  let key_space = profile.Workloads.Size_dist.key_space in
+  let cluster, mc = memcached_fixture ~kind:Cluster.Ix in
+  let values = ref [] in
+  Workloads.Keygen.preload
+    ~insert:(fun k v ->
+      values := v :: !values;
+      Apps.Memcached.insert mc k v)
+    ~profile ~seed:5;
+  let values = Array.of_list (List.rev !values) in
+  check_int "items = key space" key_space (Apps.Memcached.items mc);
+  let rng = Engine.Rng.create ~seed:5 in
+  let by_len = Hashtbl.create 64 in
+  Array.iter
+    (fun v ->
+      let len = Int.max 1 (profile.Workloads.Size_dist.value_len rng) in
+      check_int "value length" len (String.length v);
+      match Hashtbl.find_opt by_len len with
+      | Some shared -> check_bool "equal lengths share one string" true (v == shared)
+      | None -> Hashtbl.add by_len len v)
+    values;
+  let key = Workloads.Keygen.key ~profile ~rank:42 in
+  let by_id =
+    kv_exchange cluster
+      [
+        { Kv.op = Kv.Get; reqid = 1; key; value = "" };
+        { Kv.op = Kv.Set; reqid = 2; key; value = "fresh" };
+        { Kv.op = Kv.Get; reqid = 3; key; value = "" };
+      ]
+  in
+  check_int "preloaded key hits" Kv.hit (by_id 1).Kv.status;
+  Alcotest.(check string) "preloaded value" values.(41) (by_id 1).Kv.value;
+  Alcotest.(check string) "set replaced the value" "fresh" (by_id 3).Kv.value;
+  check_int "set replaced in place" key_space (Apps.Memcached.items mc)
 
 let test_mutilate_places_load () =
   let cluster, mc = memcached_fixture ~kind:Cluster.Ix in
@@ -253,6 +304,7 @@ let () =
       ( "memcached",
         [
           Alcotest.test_case "get/set over the wire" `Quick test_memcached_get_set_over_wire;
+          Alcotest.test_case "preload" `Quick test_memcached_preload;
           Alcotest.test_case "mutilate load" `Quick test_mutilate_places_load;
         ] );
       ( "netpipe",

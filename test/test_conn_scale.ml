@@ -96,6 +96,56 @@ let test_store_grows () =
     | None -> Alcotest.failf "lost connection %d after growth" i
   done
 
+(* A TCB released while still in the table leaves a stale handle behind.
+   Whether its store slot is reused for another 4-tuple or stays free
+   (its key columns still hold the old key), the generation check must
+   keep the old key from matching, and the next rehash must drop the
+   stale entries from the count. *)
+let test_stale_handle () =
+  let store = Tcb.store_create ~initial:4 () in
+  let env = make_env ~store () in
+  let table = Flow_table.create ~store in
+  let add ~local_port ~remote_ip =
+    let tcb = make_tcb env ~local_port ~remote_ip ~remote_port:5000 in
+    Flow_table.add table ~local_port ~remote_ip ~remote_port:5000 tcb;
+    tcb
+  in
+  let find ~local_port ~remote_ip =
+    Flow_table.find table ~local_port ~remote_ip ~remote_port:5000
+  in
+  let reused = add ~local_port:80 ~remote_ip:0xA000001 in
+  let slot = reused.Tcb.slot in
+  Tcb.release reused;
+  let fresh = add ~local_port:81 ~remote_ip:0xA000002 in
+  check_int "slot reused" slot fresh.Tcb.slot;
+  let freed = add ~local_port:82 ~remote_ip:0xA000003 in
+  (* Allocate the filler first, so [freed]'s slot stays free. *)
+  let extra = 800 in
+  let filler =
+    List.init extra (fun i ->
+        make_tcb env ~local_port:83 ~remote_ip:(0xB000000 + i) ~remote_port:5000)
+  in
+  Tcb.release freed;
+  let check_keys () =
+    check_bool "reused slot's old key finds nothing" true
+      (Option.is_none (find ~local_port:80 ~remote_ip:0xA000001));
+    check_bool "freed slot's key finds nothing" true
+      (Option.is_none (find ~local_port:82 ~remote_ip:0xA000003));
+    match find ~local_port:81 ~remote_ip:0xA000002 with
+    | Some tcb -> check_bool "new key resolves" true (tcb == fresh)
+    | None -> Alcotest.fail "new key lost"
+  in
+  check_keys ();
+  check_int "stale entries still counted" 3 (Flow_table.count table);
+  (* 800 more flows push the 1024-slot table past 3/4 occupancy. *)
+  List.iteri
+    (fun i tcb ->
+      Flow_table.add table ~local_port:83 ~remote_ip:(0xB000000 + i)
+        ~remote_port:5000 tcb)
+    filler;
+  check_int "rehash dropped both stale entries" (extra + 1) (Flow_table.count table);
+  check_keys ()
+
 (* ------------------------------------------------------------------ *)
 (* TIME_WAIT remnant table                                             *)
 
@@ -277,6 +327,7 @@ let () =
           qt prop_flow_table_matches_model;
           Alcotest.test_case "store growth keeps handles valid" `Quick
             test_store_grows;
+          Alcotest.test_case "stale handle never matches" `Quick test_stale_handle;
         ] );
       ( "time-wait",
         [
