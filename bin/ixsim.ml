@@ -6,7 +6,6 @@
      ixsim echo|memcached|netpipe|breakdown|chaos|conn-scale|ping
                           — single runs with adjustable parameters
      ixsim perf           — fixed-seed regression slices -> BENCH_PERF.json
-     ixsim micro          — Bechamel microbenchmarks of hot-path primitives
 
    IX_BENCH_SCALE=0.3 shortens every measurement window (noisier). *)
 
@@ -444,17 +443,12 @@ let perf_cmd =
           any failed check or gate.")
     Term.(const run $ log_term $ smoke_arg $ jobs_arg $ out_arg)
 
-let micro_cmd =
-  Cmd.v
-    (Cmd.info "micro" ~doc:"Bechamel microbenchmarks of the hot-path primitives.")
-    Term.(const Micro.run $ log_term)
-
 let main =
   Cmd.group
     (Cmd.info "ixsim" ~version:"1.0"
        ~doc:"Simulated reproduction of IX (OSDI '14): dataplane OS experiments.")
     [ echo_cmd; breakdown_cmd; memcached_cmd; netpipe_cmd; fig_cmd; chaos_cmd;
-      conn_scale_cmd; ping_cmd; perf_cmd; micro_cmd ]
+      conn_scale_cmd; ping_cmd; perf_cmd ]
 
 let () =
   (* 32 MB minor heap for every subcommand (the 256 K-word default forces

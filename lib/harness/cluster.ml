@@ -215,6 +215,21 @@ let build ?(seed = 42) ?(client_hosts = 6) ?(client_threads = 8)
 
 let now t () = Sim.now t.sim
 
+let echo_sessions t ?(first = 0) ?(at = 0) ~sessions ~threads ~spacing
+    ~msg_size ~msgs_per_conn ~stats ~stop_after () =
+  let clients = Array.of_list t.clients in
+  let n = Array.length clients in
+  for s = 0 to sessions - 1 do
+    let i = first + s in
+    let client = clients.(i mod n) and thread = i / n mod threads in
+    ignore
+      (Sim.at t.sim
+         (at + (s * spacing))
+         (fun () ->
+           Apps.Echo.client client ~now:(now t) ~thread ~server_ip:t.server_ip
+             ~port:7000 ~msg_size ~msgs_per_conn ~stats ~stop_after))
+  done
+
 let server_rx_drops t =
   Array.fold_left (fun acc nic -> acc + Nic.rx_drops nic) 0 t.server_nics
 

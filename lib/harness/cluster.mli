@@ -68,6 +68,25 @@ val build :
 
 val now : t -> unit -> Engine.Sim_time.t
 
+val echo_sessions :
+  t ->
+  ?first:int ->
+  ?at:Engine.Sim_time.t ->
+  sessions:int ->
+  threads:int ->
+  spacing:Engine.Sim_time.t ->
+  msg_size:int ->
+  msgs_per_conn:int ->
+  stats:Apps.Echo.client_stats ->
+  stop_after:Engine.Sim_time.t ->
+  unit ->
+  unit
+(** Schedule [sessions] {!Apps.Echo.client} sessions against the
+    server's port 7000.  Session [i = first + s] (default [first] 0)
+    runs on client [i mod n] of the [n] clients, thread
+    [i / n mod threads], and starts at [at + s * spacing] (default
+    [at] 0). *)
+
 val server_rx_drops : t -> int
 (** NIC descriptor-ring drops at the server (overload signal). *)
 

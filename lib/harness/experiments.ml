@@ -219,20 +219,11 @@ let run_echo ?(output = default_output) ?(label = "") ?(client_hosts = 6)
   let measure = Engine.Sim_time.ms (scaled_ms 10) in
   let stop_after = warmup + measure in
   let stats = Apps.Echo.new_stats () in
-  let clients = Array.of_list cluster.Cluster.clients in
   (* Ramp sessions up over the first part of the warmup rather than
      SYN-storming an empty server at t=0 (as real load generators do). *)
   let spacing = max 1 (warmup / (2 * sessions)) in
-  for s = 0 to sessions - 1 do
-    let client = clients.(s mod Array.length clients) in
-    let thread = s / Array.length clients mod client_threads in
-    ignore
-      (Sim.at cluster.Cluster.sim (s * spacing) (fun () ->
-           Apps.Echo.client client
-             ~now:(Cluster.now cluster)
-             ~thread ~server_ip:cluster.Cluster.server_ip ~port:7000 ~msg_size
-             ~msgs_per_conn ~stats ~stop_after))
-  done;
+  Cluster.echo_sessions cluster ~sessions ~threads:client_threads ~spacing
+    ~msg_size ~msgs_per_conn ~stats ~stop_after ();
   (* All three stacks publish a "busy_ns" gauge; read it through the
      portable interface instead of reaching into IX internals. *)
   let server_busy () = Net_api.busy_ns cluster.Cluster.server in
@@ -299,18 +290,8 @@ let echo_breakdown ?(output = default_output) ?(cores = 1) ?(msg_size = 64) () =
   Apps.Echo.server cluster.Cluster.server ~port:7000 ~msg_size ~app_ns:150;
   let stats = Apps.Echo.new_stats () in
   let stop_after = Engine.Sim_time.ms (scaled_ms 6) in
-  let clients = Array.of_list cluster.Cluster.clients in
-  let sessions = 64 in
-  for s = 0 to sessions - 1 do
-    let client = clients.(s mod Array.length clients) in
-    let thread = s / Array.length clients mod 4 in
-    ignore
-      (Sim.at cluster.Cluster.sim (s * 1_000) (fun () ->
-           Apps.Echo.client client
-             ~now:(Cluster.now cluster)
-             ~thread ~server_ip:cluster.Cluster.server_ip ~port:7000 ~msg_size
-             ~msgs_per_conn:32 ~stats ~stop_after))
-  done;
+  Cluster.echo_sessions cluster ~sessions:64 ~threads:4 ~spacing:1_000 ~msg_size
+    ~msgs_per_conn:32 ~stats ~stop_after ();
   Sim.run ~until:stop_after cluster.Cluster.sim;
   let host = Option.get cluster.Cluster.server_ix in
   let rows = merge_breakdowns (Ix_core.Ix_host.tracers host) in
@@ -1026,24 +1007,11 @@ let elastic_scaling ?(output = default_output) ?(seed = 42) () =
   in
   let phase = Engine.Sim_time.ms (scaled_ms 4) in
   let stop_after = 3 * phase in
-  let clients = Array.of_list cluster.Cluster.clients in
-  let spawn ~at ~until ~sessions ~offset =
-    for s = 0 to sessions - 1 do
-      let i = offset + s in
-      let client = clients.(i mod Array.length clients) in
-      let thread = i / Array.length clients mod 4 in
-      ignore
-        (Sim.at cluster.Cluster.sim
-           (at + (s * 2_000))
-           (fun () ->
-             Apps.Echo.client client
-               ~now:(Cluster.now cluster)
-               ~thread ~server_ip:cluster.Cluster.server_ip ~port:7000
-               ~msg_size:64 ~msgs_per_conn:64 ~stats ~stop_after:until))
-    done
-  in
-  spawn ~at:0 ~until:stop_after ~sessions:6 ~offset:0;
-  spawn ~at:phase ~until:(2 * phase) ~sessions:56 ~offset:6;
+  Cluster.echo_sessions cluster ~sessions:6 ~threads:4 ~spacing:2_000
+    ~msg_size:64 ~msgs_per_conn:64 ~stats ~stop_after ();
+  Cluster.echo_sessions cluster ~first:6 ~at:phase ~sessions:56 ~threads:4
+    ~spacing:2_000 ~msg_size:64 ~msgs_per_conn:64 ~stats
+    ~stop_after:(2 * phase) ();
   Sim.run ~until:stop_after cluster.Cluster.sim;
   Ix_core.Elastic.stop el;
   let samples = Ix_core.Elastic.samples el in
@@ -1316,17 +1284,8 @@ let perf_migration_slice ?(fast_path = true) () =
         ~app_ns:150;
       let stats = Apps.Echo.new_stats () in
       let stop_after = Engine.Sim_time.ms 6 in
-      let clients = Array.of_list cluster.Cluster.clients in
-      for s = 0 to 31 do
-        let client = clients.(s mod Array.length clients) in
-        let thread = s / Array.length clients mod 4 in
-        ignore
-          (Sim.at cluster.Cluster.sim (s * 2_000) (fun () ->
-               Apps.Echo.client client
-                 ~now:(Cluster.now cluster)
-                 ~thread ~server_ip:cluster.Cluster.server_ip ~port:7000
-                 ~msg_size:64 ~msgs_per_conn:64 ~stats ~stop_after))
-      done;
+      Cluster.echo_sessions cluster ~sessions:32 ~threads:4 ~spacing:2_000
+        ~msg_size:64 ~msgs_per_conn:64 ~stats ~stop_after ();
       ignore
         (Sim.at cluster.Cluster.sim (Engine.Sim_time.ms 2) (fun () ->
              Ix_core.Control_plane.set_elastic_threads cp 2));

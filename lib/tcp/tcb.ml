@@ -54,7 +54,6 @@ type config = {
   max_rto_ns : int;
   delack_ns : int;  (** delayed-ACK timeout *)
   delack_segs : int;  (** ACK at least every n-th segment *)
-  initial_cwnd_segs : int;
   time_wait_ns : int;
   buffered_send : bool;
       (** [true]: POSIX socket semantics — [send] accepts anything that
@@ -79,20 +78,6 @@ type config = {
       (** release the full TCB at the TIME_WAIT transition; the
           remnant (4-tuple, final sequence numbers, deadline) moves to
           the endpoint's compact [Tw_table] *)
-  rfc5961 : bool;
-      (** blind-injection hardening: in-window (but not exact-match)
-          RSTs and SYNs in synchronized states elicit a rate-limited
-          challenge ACK instead of acting on the segment *)
-  rfc1337 : bool;
-      (** TIME-WAIT assassination protection: RSTs never terminate
-          TIME_WAIT (neither the in-TCB timer nor a [Tw_table] remnant) *)
-  dsack : bool;
-      (** report fully-duplicate segments back to the sender in a
-          D-SACK block (RFC 2883), and discount dup-ACKs that carry
-          one — SACK-recovery groundwork *)
-  challenge_ack_limit : int;
-      (** max challenge ACKs per [challenge_ack_window_ns] (per env) *)
-  challenge_ack_window_ns : int;
 }
 
 (* Defaults follow a modern datacenter profile; stacks override the
@@ -107,19 +92,28 @@ let default_config =
     max_rto_ns = 1_000_000_000;
     delack_ns = 200_000 (* 200 us *);
     delack_segs = 2;
-    initial_cwnd_segs = 10;
     time_wait_ns = 1_000_000 (* scaled-down MSL for simulation *);
     buffered_send = false;
     dctcp = false;
     fast_path = true;
     syn_cookies = false;
     tw_recycle = true;
-    rfc5961 = true;
-    rfc1337 = true;
-    dsack = true;
-    challenge_ack_limit = 8;
-    challenge_ack_window_ns = 1_000_000 (* 1 ms, matching the scaled MSL *);
   }
+
+(* Initial congestion window, segments (IW10, RFC 6928). *)
+let initial_cwnd_segs = 10
+
+(* Protocol hardening is always on, in every stack:
+   - RFC 5961: in-window (but not exact-match) RSTs and SYNs in
+     synchronized states elicit a challenge ACK instead of acting on
+     the segment, at most [challenge_ack_limit] per
+     [challenge_ack_window_ns] (1 ms, matching the scaled MSL) per env;
+   - RFC 1337: RSTs never terminate TIME_WAIT (neither the in-TCB timer
+     nor a [Tw_table] remnant);
+   - RFC 2883: fully duplicate segments are reported back in a D-SACK
+     block, and dup-ACKs carrying one are not counted as loss. *)
+let challenge_ack_limit = 8
+let challenge_ack_window_ns = 1_000_000
 
 (* Sentinel for [rexmit_action] before [Tcp_conn] installs the real
    callback; compared with [==]. *)
@@ -598,10 +592,11 @@ let set_last_close tcb reason =
   s.c_flags.(i) <- s.c_flags.(i) land lnot (0x7 lsl 4) lor (code lsl 4)
 
 (* ------------------------------------------------------------------ *)
-(* RTT estimator (RFC 6298), column form.  The arithmetic is exactly
-   [Rtt]'s (which remains the directly unit-tested reference); srtt
-   and rttvar share a word — Karn-valid samples are genuine single-RTT
-   times, far below the 2^31 ns half ceiling. *)
+(* RTT estimator (RFC 6298), column form, unit-tested directly in
+   test_tcp; [Model_tcp] is the independent oracle the conformance
+   suite compares it against.  srtt and rttvar share a word —
+   Karn-valid samples are genuine single-RTT times, far below the
+   2^31 ns half ceiling. *)
 
 let[@inline] srtt_ns tcb = pair_lo tcb.store.c_srtt.(tcb.slot)
 
@@ -641,9 +636,11 @@ let rtt_backoff tcb =
 let rtt_reset_backoff tcb = set_backoff_mult tcb 1
 
 (* ------------------------------------------------------------------ *)
-(* Congestion control (NewReno + DCTCP), column form — arithmetic
-   exactly [Congestion]'s, including float-operation order for the
-   DCTCP EWMA (bit-identical snapshots depend on it). *)
+(* Congestion control (NewReno + DCTCP), column form.  NewReno is
+   unit-tested in test_tcp and the DCTCP window law in test_dctcp;
+   [Model_tcp] repeats the arithmetic as the conformance oracle,
+   including float-operation order for the DCTCP EWMA (bit-identical
+   snapshots depend on it). *)
 
 let max_window = 64 * 1024 * 1024
 let dup_ack_threshold = 3
@@ -778,7 +775,7 @@ let create env cfg ~local_ip ~local_port ~remote_ip ~remote_port ~cookie =
   s.c_wnds.(i) <- 0;
   s.c_bufs.(i) <- 0;
   s.c_cwnd.(i) <-
-    with_hi (with_lo 0 (cfg.mss * cfg.initial_cwnd_segs)) max_window;
+    with_hi (with_lo 0 (cfg.mss * initial_cwnd_segs)) max_window;
   s.c_ecn.(i) <- 0;
   s.c_segs.(i) <- 0;
   s.c_rtt_seq.(i) <- 0;

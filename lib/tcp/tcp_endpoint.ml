@@ -324,10 +324,8 @@ let rx_time_wait t ~src_ip (seg : Seg.t) slot =
   if seg.Seg.rst then begin
     (* RFC 1337: a stray or forged RST must not assassinate the
        TIME_WAIT remnant — losing it would let old duplicates from the
-       closed incarnation reach a successor connection.  The legacy
-       (pre-hardening) behaviour drops the remnant. *)
-    if t.cfg.Tcb.rfc1337 then Metrics.incr t.c_tw_rst_dropped
-    else Tw_table.remove t.tw slot;
+       closed incarnation reach a successor connection. *)
+    Metrics.incr t.c_tw_rst_dropped;
     true
   end
   else if

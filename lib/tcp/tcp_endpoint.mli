@@ -102,7 +102,7 @@ val challenge_acks_sent : t -> int
 
 val challenge_acks_limited : t -> int
 (** Challenge ACKs suppressed by the per-endpoint rate limiter
-    ([config.challenge_ack_limit] per [config.challenge_ack_window_ns]). *)
+    ({!Tcb.challenge_ack_limit} per {!Tcb.challenge_ack_window_ns}). *)
 
 val rsts_accepted : t -> int
 (** Peer RSTs that actually tore a connection down.  Every

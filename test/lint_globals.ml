@@ -1,8 +1,8 @@
 (* Repository lint: no module-level mutable state in lib/, no
    allocating header decodes on the RX hot path, no cross-thread
-   synchronization primitives on the per-core dataplane paths, and no
-   per-packet payload copies on the wire path (second, third and
-   fourth passes below).
+   synchronization primitives on the per-core dataplane paths, no
+   per-packet payload copies on the wire path, and no module in lib/
+   without a caller (second to fifth passes below).
 
    The parallel experiment harness (Engine.Domain_pool) runs whole
    simulations concurrently on separate domains; a top-level [ref],
@@ -281,15 +281,79 @@ let lint_hot_path path lines =
           allocating_decodes)
       lines
 
-let lint_file path =
-  let ic = open_in path in
-  let lines = ref [] in
-  (try
-     while true do
-       lines := input_line ic :: !lines
-     done
-   with End_of_file -> close_in ic);
-  let lines = Array.of_list (List.rev !lines) in
+(* Fifth pass: every module under lib/ has a caller.  A module that no
+   other .ml under lib/, bin/ or perfbench/ names is code no simulation
+   runs, and the tests that exercise it check something that does not
+   ship.  A reference is a qualified use ([Name.x], also inside a longer
+   path such as [Ixtcp.Name.x]), an alias [module X = ….Name], or an
+   [open]/[include] of the module.  Text heuristic, like the passes
+   above: comments and strings count too. *)
+
+let callerless_allowlist =
+  [
+    (* The conformance harness replays legs through the engine and the
+       model TCP and compares their traces: a test-only oracle harness
+       by design, run by test_conformance. *)
+    "Conformance";
+  ]
+
+let module_name path =
+  String.capitalize_ascii (Filename.remove_extension (Filename.basename path))
+
+(* The module names [lines] refers to, by the rules above. *)
+let referenced_modules lines =
+  let refs = Hashtbl.create 64 in
+  Array.iter
+    (fun line ->
+      let n = String.length line in
+      let module_line = String.starts_with ~prefix:"module " (String.trim line) in
+      let rec scan i prev seen_eq =
+        if i < n then
+          if is_ident_char line.[i] && (i = 0 || not (is_ident_char line.[i - 1]))
+          then begin
+            let j =
+              let rec go j = if j < n && is_ident_char line.[j] then go (j + 1) else j in
+              go i
+            in
+            let word = String.sub line i (j - i) in
+            if
+              (match word.[0] with 'A' .. 'Z' -> true | _ -> false)
+              && ((j < n && line.[j] = '.')
+                 || prev = "open" || prev = "include"
+                 || (module_line && seen_eq))
+            then Hashtbl.replace refs word ();
+            scan j word seen_eq
+          end
+          else scan (i + 1) prev (seen_eq || line.[i] = '=')
+      in
+      scan 0 "" false)
+    lines;
+  refs
+
+(* (path, lines) of every .ml walked, and which of them are under lib/. *)
+let sources = ref []
+
+let lint_callerless () =
+  let refs = List.map (fun (path, lines, _) -> (path, referenced_modules lines)) !sources in
+  List.iter
+    (fun (path, _, in_lib) ->
+      let name = module_name path in
+      if in_lib && not (List.mem name callerless_allowlist) then
+        if
+          not
+            (List.exists
+               (fun (other, r) -> other <> path && Hashtbl.mem r name)
+               refs)
+        then
+          failures :=
+            Printf.sprintf
+              "%s: module `%s` has no caller in lib/, bin/ or perfbench/ — \
+               delete it, or point its tests at the code that ships"
+              path name
+            :: !failures)
+    !sources
+
+let lint_lib_file path lines =
   lint_hot_path path lines;
   lint_per_core path lines;
   lint_per_packet path lines;
@@ -321,6 +385,18 @@ let lint_file path =
               forbidden_tokens)
     lines
 
+let lint_file ~in_lib path =
+  let ic = open_in path in
+  let lines = ref [] in
+  (try
+     while true do
+       lines := input_line ic :: !lines
+     done
+   with End_of_file -> close_in ic);
+  let lines = Array.of_list (List.rev !lines) in
+  sources := (path, lines, in_lib) :: !sources;
+  if in_lib then lint_lib_file path lines
+
 (* Coverage guard: the subsystem directories the lint is expected to
    scan under lib/.  If one goes missing from the walk (renamed, or
    silently excluded), the lint would pass vacuously for that subsystem
@@ -333,20 +409,25 @@ let required_dirs =
 
 let visited_dirs = ref []
 
-let rec walk dir =
-  visited_dirs := Filename.basename dir :: !visited_dirs;
+let rec walk ~in_lib dir =
+  if in_lib then visited_dirs := Filename.basename dir :: !visited_dirs;
   Array.iter
     (fun entry ->
       let path = Filename.concat dir entry in
-      if Sys.is_directory path then walk path
-      else if Filename.check_suffix path ".ml" then lint_file path)
+      if Sys.is_directory path then walk ~in_lib path
+      else if Filename.check_suffix path ".ml" then lint_file ~in_lib path)
     (Sys.readdir dir)
 
+(* Arguments: source roots.  The root named lib/ gets every pass; the
+   others (bin/, perfbench/) only supply callers to the fifth. *)
 let () =
   let roots =
     match Array.to_list Sys.argv with [] | [ _ ] -> [ "lib" ] | _ :: rest -> rest
   in
-  List.iter walk roots;
+  List.iter
+    (fun r -> walk ~in_lib:(Filename.basename r = "lib") r)
+    roots;
+  lint_callerless ();
   if List.exists (fun r -> Filename.basename r = "lib") roots then begin
     let missing =
       List.filter (fun d -> not (List.mem d !visited_dirs)) required_dirs
@@ -360,13 +441,17 @@ let () =
     end
   end;
   match List.rev !failures with
-  | [] -> print_endline "lint-globals: no module-level mutable state in lib/"
+  | [] ->
+      print_endline
+        "lint-globals: no module-level mutable state in lib/, every lib/ \
+         module has a caller"
   | fs ->
       List.iter prerr_endline fs;
       Printf.eprintf
         "lint-globals: %d violation(s).  Thread state through the simulation \
          instead of module-level mutables (see DESIGN.md, \"parallel \
-         harness\"), keep the RX hot path on decode_into, or add a documented \
-         allowlist entry in test/lint_globals.ml.\n"
+         harness\"), keep the RX hot path on decode_into, delete modules \
+         without a caller, or add a documented allowlist entry in \
+         test/lint_globals.ml.\n"
         (List.length fs);
       exit 1

@@ -93,37 +93,52 @@ let test_link_drops_past_limit () =
 
 (* ---------------- DCTCP window law ---------------- *)
 
+(* One TCB in a fresh store, driven directly through the congestion
+   columns every stack runs. *)
+let cong_tcb ~dctcp =
+  let env =
+    Tcb.make_env ~now:(fun () -> 0)
+      ~wheel:(Timerwheel.Timer_wheel.create ~now:0 ())
+      ~alloc:(fun () -> None) ~output:(fun _ _ -> ())
+      ~rng:(Engine.Rng.create ~seed:3) ~handle_alloc:(ref 0)
+      ~store:(Tcb.store_create ()) ()
+  in
+  Tcb.create env
+    { Tcb.default_config with Tcb.mss = 1000; dctcp }
+    ~local_ip:ip_a ~local_port:80 ~remote_ip:ip_b ~remote_port:1024 ~cookie:0
+
 let test_dctcp_alpha_converges () =
-  let c = Congestion.create ~dctcp:true ~mss:1000 ~initial_window_segs:10 () in
+  let c = cong_tcb ~dctcp:true in
   (* Every byte marked, repeatedly: alpha -> 1, cwnd shrinks toward
      half per window. *)
   for _ = 1 to 400 do
-    Congestion.on_ecn_feedback c ~acked_bytes:5_000 ~marked:true
+    Tcb.cong_on_ecn_feedback c ~acked_bytes:5_000 ~marked:true
   done;
-  check_bool "alpha grew toward 1" true (Congestion.dctcp_alpha c > 0.8);
-  check_bool "window collapsed" true (Congestion.cwnd c <= 4_000)
+  check_bool "alpha grew toward 1" true (Tcb.dctcp_alpha c > 0.8);
+  check_bool "window collapsed" true (Tcb.cwnd c <= 4_000)
 
 let test_dctcp_proportionality () =
   (* A lightly marked flow must keep most of its window; a heavily
      marked one must not. *)
   let run fraction =
-    let c = Congestion.create ~dctcp:true ~mss:1000 ~initial_window_segs:100 () in
+    let c = cong_tcb ~dctcp:true in
+    Tcb.set_cwnd c 100_000 (* a 100-segment window *);
     for i = 1 to 1000 do
-      Congestion.on_ecn_feedback c ~acked_bytes:1_000
+      Tcb.cong_on_ecn_feedback c ~acked_bytes:1_000
         ~marked:(i mod 100 < fraction)
     done;
-    Congestion.cwnd c
+    Tcb.cwnd c
   in
   let light = run 5 and heavy = run 80 in
   check_bool "light marking keeps more window" true (light > 2 * heavy)
 
 let test_dctcp_ignores_marks_when_disabled () =
-  let c = Congestion.create ~mss:1000 ~initial_window_segs:10 () in
+  let c = cong_tcb ~dctcp:false in
   for _ = 1 to 100 do
-    Congestion.on_ecn_feedback c ~acked_bytes:10_000 ~marked:true
+    Tcb.cong_on_ecn_feedback c ~acked_bytes:10_000 ~marked:true
   done;
-  check_int "newreno untouched by ECN feedback" 10_000 (Congestion.cwnd c);
-  Alcotest.(check (float 0.0001)) "alpha stays 0" 0. (Congestion.dctcp_alpha c)
+  check_int "newreno untouched by ECN feedback" 10_000 (Tcb.cwnd c);
+  Alcotest.(check (float 0.0001)) "alpha stays 0" 0. (Tcb.dctcp_alpha c)
 
 (* ---------------- ECE echo at the segment level ---------------- *)
 
